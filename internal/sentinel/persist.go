@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/forensics"
@@ -326,7 +328,9 @@ type QueryEvent struct {
 // QueryResult is the /query response document. Event series
 // (findings, ends) fill Results; the histogram series folds the
 // window's stored deltas into Ingest/Detect percentile snapshots
-// covering IntervalMS of observed run time.
+// covering IntervalMS of observed run time. The handler does not build
+// this struct: appendQuery writes the document straight from the
+// store, and this is the schema clients (and the tests) decode it into.
 type QueryResult struct {
 	Series    string       `json:"series"`
 	Count     int          `json:"count"`
@@ -362,6 +366,52 @@ func parseQueryTime(v string) (int64, error) {
 	return 0, fmt.Errorf("bad time %q (want RFC3339 or unix seconds)", v)
 }
 
+// queryParams is one validated /query request.
+type queryParams struct {
+	series       string
+	since, until int64
+	key          uint64
+	limit        int
+}
+
+// parseQuery validates /query parameters; until defaults to now. Every
+// error is the caller's fault (a 400).
+func parseQuery(q url.Values, now int64) (queryParams, error) {
+	p := queryParams{series: q.Get("series"), until: now, limit: defaultQueryLimit}
+	var err error
+	if v := q.Get("since"); v != "" {
+		if p.since, err = parseQueryTime(v); err != nil {
+			return p, err
+		}
+	}
+	if v := q.Get("until"); v != "" {
+		if p.until, err = parseQueryTime(v); err != nil {
+			return p, err
+		}
+	}
+	if v := q.Get("stream"); v != "" {
+		if p.key, err = strconv.ParseUint(v, 10, 64); err != nil || p.key == 0 {
+			return p, fmt.Errorf("bad stream %q", v)
+		}
+	}
+	if v := q.Get("limit"); v != "" {
+		if p.limit, err = strconv.Atoi(v); err != nil || p.limit <= 0 {
+			return p, fmt.Errorf("bad limit %q", v)
+		}
+	}
+	switch p.series {
+	case SeriesFindings, SeriesEnds, SeriesHist:
+		return p, nil
+	}
+	return p, fmt.Errorf("bad series %q (want %s, %s, or %s)",
+		p.series, SeriesFindings, SeriesEnds, SeriesHist)
+}
+
+// queryBufs recycles /query response buffers: a dashboard polling every
+// 200 ms reuses the previous poll's bytes instead of growing a fresh
+// half-megabyte slice.
+var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleQuery serves GET /query?series=findings|ends|hist with
 // optional stream=, since=, until=, limit= parameters. Served 404 when
 // no store is configured (the endpoint does not exist without one).
@@ -371,92 +421,266 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no store configured", http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
-	series := q.Get("series")
-
-	since, until := int64(0), time.Now().UnixNano()
-	var err error
-	if v := q.Get("since"); v != "" {
-		if since, err = parseQueryTime(v); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	if v := q.Get("until"); v != "" {
-		if until, err = parseQueryTime(v); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	var key uint64
-	if v := q.Get("stream"); v != "" {
-		if key, err = strconv.ParseUint(v, 10, 64); err != nil || key == 0 {
-			http.Error(w, fmt.Sprintf("bad stream %q", v), http.StatusBadRequest)
-			return
-		}
-	}
-	limit := defaultQueryLimit
-	if v := q.Get("limit"); v != "" {
-		if limit, err = strconv.Atoi(v); err != nil || limit <= 0 {
-			http.Error(w, fmt.Sprintf("bad limit %q", v), http.StatusBadRequest)
-			return
-		}
-	}
-
-	res := QueryResult{Series: series}
-	switch series {
-	case SeriesFindings, SeriesEnds:
-		qerr := s.cfg.Store.Query(series, since, until, key, func(fr tsdb.Frame) error {
-			if len(res.Results) >= limit {
-				res.Truncated = true
-				return errQueryLimit
-			}
-			res.Results = append(res.Results, QueryEvent{
-				TS:     time.Unix(0, fr.TS).UTC().Format(time.RFC3339Nano),
-				Stream: fr.Key,
-				Event:  json.RawMessage(append([]byte(nil), fr.Data...)),
-			})
-			return nil
-		})
-		if qerr != nil && qerr != errQueryLimit {
-			http.Error(w, qerr.Error(), http.StatusInternalServerError)
-			return
-		}
-		res.Count = len(res.Results)
-	case SeriesHist:
-		var points int
-		ingest := obs.HistogramState{MinNS: -1}
-		detect := obs.HistogramState{MinNS: -1}
-		qerr := s.cfg.Store.Query(series, since, until, 0, func(fr tsdb.Frame) error {
-			var pt histPoint
-			if err := json.Unmarshal(fr.Data, &pt); err != nil {
-				return fmt.Errorf("corrupt hist point: %w", err)
-			}
-			points++
-			res.IntervalMS += pt.IntervalMS
-			ingest = ingest.Merge(pt.Ingest)
-			detect = detect.Merge(pt.Detect)
-			return nil
-		})
-		if qerr != nil {
-			http.Error(w, qerr.Error(), http.StatusInternalServerError)
-			return
-		}
-		res.Count = points
-		iSnap, dSnap := obs.SnapshotOf(ingest), obs.SnapshotOf(detect)
-		res.Ingest, res.Detect = &iSnap, &dSnap
-	default:
-		http.Error(w, fmt.Sprintf("bad series %q (want %s, %s, or %s)",
-			series, SeriesFindings, SeriesEnds, SeriesHist), http.StatusBadRequest)
+	p, err := parseQuery(r.URL.Query(), time.Now().UnixNano())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-
+	bp := queryBufs.Get().(*[]byte)
+	defer queryBufs.Put(bp)
+	buf, doc, err := s.appendQuery((*bp)[:0], p)
+	*bp = buf[:0]
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	s.noteWriteErr("/query", enc.Encode(res))
+	_, err = w.Write(buf[doc:])
+	s.noteWriteErr("/query", err)
+}
+
+// The /query document is written in one pass from the store's frames
+// to the response bytes, and those bytes are exactly what
+//
+//	enc := json.NewEncoder(w)
+//	enc.SetIndent("", "  ")
+//	enc.Encode(QueryResult{...})
+//
+// wrote for the same rows: two-space indentation, "key": value
+// spacing, omitempty fields left out, a trailing newline, and every
+// stored event compacted with HTML escaping and re-indented three levels
+// deep. TestQueryWriterMatchesEncoder pins the identity against that
+// encoder.
+//
+// An event series' header (count, truncated) is known only after the
+// rows are written, so the rows start queryHeadRoom bytes on and the
+// header is then written right-aligned in front of them.
+const queryHeadRoom = 128 // > the longest header, with a 20-digit count
+
+// appendQuery appends the /query document for p to buf and returns the
+// extended buffer and the offset in it where the document starts (for
+// event series, somewhere in the head room reserved past len(buf)).
+func (s *Server) appendQuery(buf []byte, p queryParams) ([]byte, int, error) {
+	if p.series == SeriesHist {
+		doc := len(buf)
+		buf, err := s.appendQueryHist(buf, p)
+		return buf, doc, err
+	}
+	head := len(buf) + queryHeadRoom
+	b := append(buf, make([]byte, queryHeadRoom)...)
+	count, truncated := 0, false
+	err := s.cfg.Store.Query(p.series, p.since, p.until, p.key, func(fr tsdb.Frame) error {
+		if count >= p.limit {
+			truncated = true
+			return errQueryLimit
+		}
+		if count > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"ts\": \""...)
+		b = time.Unix(0, fr.TS).UTC().AppendFormat(b, time.RFC3339Nano)
+		b = append(b, "\",\n      \"stream\": "...)
+		b = strconv.AppendUint(b, fr.Key, 10)
+		b = append(b, ",\n      \"event\": "...)
+		var err error
+		if b, err = appendIndented(b, fr.Data, 3); err != nil {
+			return err
+		}
+		b = append(b, "\n    }"...)
+		count++
+		return nil
+	})
+	if err != nil && err != errQueryLimit {
+		return b, 0, err
+	}
+	if count > 0 {
+		b = append(b, "\n  ]"...)
+	}
+	b = append(b, "\n}\n"...)
+
+	var hb [queryHeadRoom]byte
+	h := appendQueryHead(hb[:0], p.series, count, truncated)
+	if count > 0 {
+		h = append(h, ",\n  \"results\": ["...)
+	}
+	return b, head - copy(b[head-len(h):head], h), nil
+}
+
+// appendQueryHead appends the fields every /query document opens with.
+func appendQueryHead(b []byte, series string, count int, truncated bool) []byte {
+	b = append(b, "{\n  \"series\": "...)
+	b = appendJSONString(b, series)
+	b = append(b, ",\n  \"count\": "...)
+	b = strconv.AppendInt(b, int64(count), 10)
+	if truncated {
+		b = append(b, ",\n  \"truncated\": true"...)
+	}
+	return b
+}
+
+// appendQueryHist appends the hist series document: the window's stored
+// interval deltas folded into one ingest and one detect snapshot.
+func (s *Server) appendQueryHist(b []byte, p queryParams) ([]byte, error) {
+	var points int
+	var intervalMS int64
+	ingest := obs.HistogramState{MinNS: -1}
+	detect := obs.HistogramState{MinNS: -1}
+	err := s.cfg.Store.Query(p.series, p.since, p.until, 0, func(fr tsdb.Frame) error {
+		var pt histPoint
+		if err := json.Unmarshal(fr.Data, &pt); err != nil {
+			return fmt.Errorf("corrupt hist point: %w", err)
+		}
+		points++
+		intervalMS += pt.IntervalMS
+		ingest = ingest.Merge(pt.Ingest)
+		detect = detect.Merge(pt.Detect)
+		return nil
+	})
+	if err != nil {
+		return b, err
+	}
+	b = appendQueryHead(b, p.series, points, false)
+	if intervalMS != 0 {
+		b = append(b, ",\n  \"interval_ms\": "...)
+		b = strconv.AppendInt(b, intervalMS, 10)
+	}
+	for _, f := range []struct {
+		name  string
+		state obs.HistogramState
+	}{{"ingest", ingest}, {"detect", detect}} {
+		snap, err := json.Marshal(obs.SnapshotOf(f.state))
+		if err != nil {
+			return b, err
+		}
+		b = append(b, ",\n  \""...)
+		b = append(b, f.name...)
+		b = append(b, "\": "...)
+		if b, err = appendIndented(b, snap, 1); err != nil {
+			return b, err
+		}
+	}
+	return append(b, "\n}\n"...), nil
 }
 
 // errQueryLimit is the internal sentinel Query callbacks return to stop
 // iteration once the response row cap is hit.
 var errQueryLimit = fmt.Errorf("query limit reached")
+
+// indentSpecial marks the bytes inside a JSON string that appendIndented
+// cannot copy through: the string's end, an escape, and what
+// encoding/json's HTML-safe compaction rewrites (<, >, &, and 0xE2,
+// the lead byte of U+2028/U+2029).
+var indentSpecial = func() (t [256]bool) {
+	for _, c := range []byte{'"', '\\', '<', '>', '&', 0xE2} {
+		t[c] = true
+	}
+	return
+}()
+
+// appendIndented appends the JSON value src to dst the way
+// encoding/json renders a json.RawMessage inside an indented Encoder
+// when the value sits depth levels deep: compacted with HTML escaping
+// (<, >, & and U+2028/U+2029 inside strings become \u escapes), then
+// laid out by json.Indent's rules — each element on its own line,
+// two spaces per level, ": " after keys, and {} / [] kept on one line
+// when empty. An empty src is a nil RawMessage and renders as null.
+//
+// It tracks strings and nesting but is not a validator: stored events
+// were written by appendJSON and are CRC-checked on read. Unbalanced
+// brackets or an unterminated string are reported as errors so a
+// damaged payload fails the request instead of yielding broken JSON.
+func appendIndented(dst, src []byte, depth int) ([]byte, error) {
+	if len(src) == 0 {
+		return append(dst, "null"...), nil
+	}
+	open, needIndent := 0, false
+	newline := func(d int) {
+		dst = append(dst, '\n')
+		for ; d > 0; d-- {
+			dst = append(dst, ' ', ' ')
+		}
+	}
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		}
+		if needIndent && c != '}' && c != ']' {
+			needIndent = false
+			depth++
+			newline(depth)
+		}
+		switch c {
+		case '{', '[':
+			open++
+			needIndent = true
+			dst = append(dst, c)
+		case '}', ']':
+			if open--; open < 0 {
+				return dst, errBadStoredJSON
+			}
+			if needIndent {
+				needIndent = false // empty object or array
+			} else {
+				depth--
+				newline(depth)
+			}
+			dst = append(dst, c)
+		case ',':
+			dst = append(dst, c)
+			newline(depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '"':
+			dst = append(dst, c)
+			i++
+			start := i
+			for ; i < len(src); i++ {
+				c := src[i]
+				if !indentSpecial[c] {
+					continue
+				}
+				dst = append(dst, src[start:i]...)
+				start = i + 1
+				switch {
+				case c == '"':
+				case c == '\\':
+					if i+1 == len(src) {
+						return dst, errBadStoredJSON
+					}
+					dst = append(dst, c, src[i+1])
+					i++
+					start = i + 1
+					continue
+				case c == 0xE2:
+					if i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8 {
+						dst = append(dst, '\\', 'u', '2', '0', '2', jsonHex[src[i+2]&0xF])
+						i += 2
+						start = i + 1
+					} else {
+						dst = append(dst, c)
+					}
+					continue
+				default: // <, >, &
+					dst = append(dst, '\\', 'u', '0', '0', jsonHex[c>>4], jsonHex[c&0xF])
+					continue
+				}
+				break // closing quote
+			}
+			if i == len(src) {
+				return dst, errBadStoredJSON
+			}
+			dst = append(dst, '"')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	if open != 0 {
+		return dst, errBadStoredJSON
+	}
+	return dst, nil
+}
+
+// errBadStoredJSON reports a stored payload that is not a JSON value.
+var errBadStoredJSON = fmt.Errorf("sentinel: stored event is not JSON")

@@ -60,6 +60,7 @@ func (s *Store) compactSeries(sr *series, now time.Time, stats *CompactStats) er
 				if err := os.Remove(g.path); err != nil && !os.IsNotExist(err) {
 					return fmt.Errorf("tsdb: compact %s: %w", sr.name, err)
 				}
+				g.gen++
 				stats.SegmentsDeleted++
 				stats.FramesDropped += g.frames
 				continue
@@ -93,16 +94,16 @@ func (s *Store) compactSeries(sr *series, now time.Time, stats *CompactStats) er
 }
 
 // downsampleSegment rewrites g with frames merged into ds.Window
-// buckets, updating the index entry in place. Returns the number of
-// input frames that were folded away. The rewrite is atomic: temp file,
-// fsync, rename.
+// buckets, updating the index entry (block index included) in place.
+// Returns the number of input frames that were folded away. The
+// rewrite is atomic: temp file, fsync, rename.
 func downsampleSegment(g *segment, ds Downsampler) (int, error) {
 	f, err := os.Open(g.path)
 	if err != nil {
 		return 0, err
 	}
 	var frames []Frame
-	_, _, _, _, _, err = scanSegment(f, func(fr Frame) error {
+	_, _, err = scanSegment(f, func(fr Frame) error {
 		data := make([]byte, len(fr.Data))
 		copy(data, fr.Data)
 		frames = append(frames, Frame{TS: fr.TS, Key: fr.Key, Data: data})
@@ -156,9 +157,7 @@ func downsampleSegment(g *segment, ds Downsampler) (int, error) {
 		tf.Close()
 		return 0, err
 	}
-	size := int64(segHeaderSize)
-	nframes := 0
-	var minTS, maxTS int64
+	ng := segment{size: segHeaderSize}
 	var buf []byte
 	for _, fr := range out {
 		buf = appendFrame(buf[:0], fr.TS, fr.Key, fr.Data)
@@ -166,14 +165,7 @@ func downsampleSegment(g *segment, ds Downsampler) (int, error) {
 			tf.Close()
 			return 0, err
 		}
-		if nframes == 0 || fr.TS < minTS {
-			minTS = fr.TS
-		}
-		if nframes == 0 || fr.TS > maxTS {
-			maxTS = fr.TS
-		}
-		nframes++
-		size += int64(len(buf))
+		ng.add(fr.TS, int64(len(buf)))
 	}
 	if err := tf.Sync(); err != nil {
 		tf.Close()
@@ -187,9 +179,10 @@ func downsampleSegment(g *segment, ds Downsampler) (int, error) {
 	}
 	syncDir(filepath.Dir(g.path))
 
-	mergedAway := g.frames - nframes
-	g.size, g.frames, g.minTS, g.maxTS = size, nframes, minTS, maxTS
+	mergedAway := g.frames - ng.frames
+	g.size, g.frames, g.minTS, g.maxTS, g.blocks = ng.size, ng.frames, ng.minTS, ng.maxTS, ng.blocks
 	g.downsampled = true
+	g.gen++
 	return mergedAway, nil
 }
 

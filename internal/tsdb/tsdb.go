@@ -170,7 +170,25 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 var seriesNameRE = regexp.MustCompile(`^[a-zA-Z0-9_-]{1,64}$`)
 
-// segment is the in-memory index entry for one segment file.
+// blockBytes is the span of one block index entry: a new block starts
+// at the first frame that begins this many bytes or more past the
+// previous block's first frame.
+const blockBytes = 64 << 10
+
+// block is one block index entry: the file offset of the block's first
+// frame and the newest timestamp among the block's frames. Only the
+// per-block maximum is kept because frame order says nothing about time
+// — shards stamp and append concurrently, so timestamps interleave —
+// but every frame of a block whose maximum is below a query's since is
+// itself below it, and the block can be skipped unread.
+type block struct {
+	off   int64
+	maxTS int64
+}
+
+// segment is the in-memory index entry for one segment file. Nothing of
+// it is persisted: Open rebuilds it by scanning the file, so the
+// on-disk format carries no index to keep consistent.
 type segment struct {
 	path        string
 	seq         uint64
@@ -179,6 +197,41 @@ type segment struct {
 	minTS       int64 // math.MaxInt64-ish sentinel not needed: frames==0 => unset
 	maxTS       int64
 	downsampled bool
+	blocks      []block // ascending offsets, first at segHeaderSize
+	// gen counts replacements and removals of the file at path, so a
+	// query that snapshotted blocks can tell whether the file it opened
+	// later is still the one they describe.
+	gen uint64
+}
+
+// add indexes one intact frame of n encoded bytes appended at offset
+// g.size.
+func (g *segment) add(ts int64, n int64) {
+	if g.frames == 0 || ts < g.minTS {
+		g.minTS = ts
+	}
+	if g.frames == 0 || ts > g.maxTS {
+		g.maxTS = ts
+	}
+	if k := len(g.blocks); k == 0 || g.size-g.blocks[k-1].off >= blockBytes {
+		g.blocks = append(g.blocks, block{off: g.size, maxTS: ts})
+	} else if ts > g.blocks[k-1].maxTS {
+		g.blocks[k-1].maxTS = ts
+	}
+	g.frames++
+	g.size += n
+}
+
+// seek returns the offset of the first frame a query from since must
+// read: the start of the first block whose newest frame is at or after
+// since, or the segment's end when no block qualifies.
+func (g *segment) seek(since int64) int64 {
+	for _, b := range g.blocks {
+		if b.maxTS >= since {
+			return b.off
+		}
+	}
+	return g.size
 }
 
 // overlaps reports whether any frame in the segment can fall in
@@ -306,10 +359,11 @@ func (s *Store) openSeries(name string) (*series, error) {
 	return sr, nil
 }
 
-// recoverSegment scans one segment file, filling in the index entry and
-// truncating the file at the first invalid frame. A file too short or
-// mangled to hold even the header is truncated to empty (it will be
-// rewritten if it ever becomes active again).
+// recoverSegment scans one segment file, rebuilding the index entry
+// (block index included) and truncating the file at the first invalid
+// frame. A file too short or mangled to hold even the header is
+// truncated to empty (it will be rewritten if it ever becomes active
+// again).
 func recoverSegment(g *segment) error {
 	f, err := os.OpenFile(g.path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -317,7 +371,11 @@ func recoverSegment(g *segment) error {
 	}
 	defer f.Close()
 
-	valid, frames, minTS, maxTS, flags, err := scanSegment(f, nil)
+	g.size, g.frames, g.blocks = segHeaderSize, 0, nil
+	valid, flags, err := scanSegment(f, func(fr Frame) error {
+		g.add(fr.TS, frameHeaderSize+frameMetaSize+int64(len(fr.Data)))
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -339,67 +397,97 @@ func recoverSegment(g *segment) error {
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			return fmt.Errorf("rewriting torn header of %s: %w", g.path, err)
 		}
-		valid, flags = segHeaderSize, 0
+		flags = 0
 	}
-	g.size, g.frames, g.minTS, g.maxTS = valid, frames, minTS, maxTS
 	g.downsampled = flags&flagDownsampled != 0
 	return nil
 }
 
+// readerPool holds the scan readers. A query opens every segment its
+// window overlaps, and a fresh 256 KiB buffer per segment was most of a
+// short query's allocation.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 256<<10) }}
+
+func getReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
+}
+
 // scanSegment reads a segment stream front to back, returning the byte
-// offset of the last intact frame boundary, the frame count, the
-// timestamp range, and the header flags. fn, when non-nil, observes
-// every intact frame (Data aliases a reused buffer). A header that is
-// short or wrong yields valid==0 (the whole file is a tear). Scanning
-// never returns an error for torn or corrupt content — that is the
-// recovery case — only for I/O failures other than EOF.
-func scanSegment(r io.Reader, fn func(Frame) error) (valid int64, frames int, minTS, maxTS int64, flags uint32, err error) {
-	br := bufio.NewReaderSize(r, 256<<10)
+// offset of the last intact frame boundary and the header flags. fn,
+// when non-nil, observes every intact frame (Data aliases a reused
+// buffer). A header that is short or wrong yields valid==0 (the whole
+// file is a tear). Scanning never returns an error for torn or corrupt
+// content — that is the recovery case — only for I/O failures other
+// than EOF.
+func scanSegment(r io.Reader, fn func(Frame) error) (valid int64, flags uint32, err error) {
+	br := getReader(r)
+	defer putReader(br)
 	var hdr [segHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, 0, 0, 0, nil // short header: empty/torn file
+		return 0, 0, nil // short header: empty/torn file
 	}
 	if string(hdr[:8]) != segMagic || binary.LittleEndian.Uint32(hdr[8:12]) != segVersion {
-		return 0, 0, 0, 0, 0, nil // foreign or mangled header
+		return 0, 0, nil // foreign or mangled header
 	}
 	flags = binary.LittleEndian.Uint32(hdr[12:16])
-	valid = segHeaderSize
+	valid, err = scanFrames(br, segHeaderSize, fn)
+	return valid, flags, err
+}
 
-	var fh [frameHeaderSize]byte
-	var body []byte
+// scanFrames reads frames from br, positioned at file offset off on a
+// frame boundary, until EOF or the first torn or corrupt frame, and
+// returns the offset just past the last intact frame. Each frame's
+// length and CRC are checked before fn sees it.
+func scanFrames(br *bufio.Reader, off int64, fn func(Frame) error) (int64, error) {
+	var body []byte // frames too large to peek in the reader's buffer
 	for {
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			return valid, frames, minTS, maxTS, flags, nil // clean EOF or torn header
+		fh, err := br.Peek(frameHeaderSize)
+		if err != nil {
+			return off, nil // clean EOF or torn header
 		}
 		length := binary.LittleEndian.Uint32(fh[0:4])
 		crc := binary.LittleEndian.Uint32(fh[4:8])
 		if length < frameMetaSize || length > frameMetaSize+maxFrameData {
-			return valid, frames, minTS, maxTS, flags, nil // corrupt length
+			return off, nil // corrupt length
 		}
-		if cap(body) < int(length) {
-			body = make([]byte, length)
-		}
-		body = body[:length]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return valid, frames, minTS, maxTS, flags, nil // torn body
-		}
-		if crc32.Checksum(body, crcTable) != crc {
-			return valid, frames, minTS, maxTS, flags, nil // corrupt body
-		}
-		ts := int64(binary.LittleEndian.Uint64(body[0:8]))
-		key := binary.LittleEndian.Uint64(body[8:16])
-		if frames == 0 || ts < minTS {
-			minTS = ts
-		}
-		if frames == 0 || ts > maxTS {
-			maxTS = ts
-		}
-		frames++
-		valid += frameHeaderSize + int64(length)
-		if fn != nil {
-			if err := fn(Frame{TS: ts, Key: key, Data: body[frameMetaSize:]}); err != nil {
-				return valid, frames, minTS, maxTS, flags, err
+		n := frameHeaderSize + int(length)
+		var b []byte
+		if n <= br.Size() {
+			full, err := br.Peek(n)
+			if err != nil {
+				return off, nil // torn body
 			}
+			b = full[frameHeaderSize:]
+		} else {
+			if cap(body) < int(length) {
+				body = make([]byte, length)
+			}
+			b = body[:length]
+			br.Discard(frameHeaderSize)
+			if _, err := io.ReadFull(br, b); err != nil {
+				return off, nil // torn body
+			}
+		}
+		if crc32.Checksum(b, crcTable) != crc {
+			return off, nil // corrupt body
+		}
+		off += int64(n)
+		if fn != nil {
+			ts := int64(binary.LittleEndian.Uint64(b[0:8]))
+			key := binary.LittleEndian.Uint64(b[8:16])
+			if err := fn(Frame{TS: ts, Key: key, Data: b[frameMetaSize:]}); err != nil {
+				return off, err
+			}
+		}
+		if n <= br.Size() {
+			br.Discard(n) // after fn: Data aliases the peeked bytes
 		}
 	}
 }
@@ -473,14 +561,7 @@ func (s *Store) Append(seriesName string, ts int64, key uint64, data []byte) err
 		return fmt.Errorf("tsdb: append %s: %w", seriesName, err)
 	}
 	g := sr.active
-	if g.frames == 0 || ts < g.minTS {
-		g.minTS = ts
-	}
-	if g.frames == 0 || ts > g.maxTS {
-		g.maxTS = ts
-	}
-	g.frames++
-	g.size += int64(len(sr.scratch))
+	g.add(ts, int64(len(sr.scratch)))
 	if g.size >= s.opts.SegmentBytes {
 		if err := s.sealLocked(sr); err != nil {
 			return err
@@ -550,17 +631,24 @@ func (s *Store) sealLocked(sr *series) error {
 // returns that error. Querying an unknown series returns no frames.
 //
 // Segments whose [minTS, maxTS] range misses the window are skipped
-// without being opened — the time index that keeps a narrow window over
-// a long history cheap. The append path is locked only long enough to
-// flush buffered writes and snapshot the segment list; the file reads
-// run unlocked, racing writers stop cleanly at the first incomplete
-// frame.
+// without being opened, and within a segment the read starts at the
+// first block whose newest frame reaches since — the time index that
+// keeps a narrow window over a long history cheap. Every frame read is
+// still CRC-checked and filtered by time and key. The append path is
+// locked only long enough to flush buffered writes and snapshot the
+// segment list; the file reads run unlocked, racing writers stop
+// cleanly at the first incomplete frame.
 func (s *Store) Query(seriesName string, since, until int64, key uint64, fn func(Frame) error) error {
 	s.mu.Lock()
 	sr, ok := s.series[seriesName]
 	s.mu.Unlock()
 	if !ok {
 		return nil
+	}
+	type segRead struct {
+		g   *segment
+		off int64
+		gen uint64
 	}
 	sr.mu.Lock()
 	if sr.bw != nil {
@@ -569,31 +657,46 @@ func (s *Store) Query(seriesName string, since, until int64, key uint64, fn func
 			return fmt.Errorf("tsdb: query flush %s: %w", seriesName, err)
 		}
 	}
-	segs := make([]*segment, 0, len(sr.segs))
+	reads := make([]segRead, 0, len(sr.segs))
 	for _, g := range sr.segs {
 		if g.overlaps(since, until) {
-			segs = append(segs, g)
+			reads = append(reads, segRead{g: g, off: g.seek(since), gen: g.gen})
 		}
 	}
 	sr.mu.Unlock()
+	if testHookQueryOpen != nil {
+		testHookQueryOpen()
+	}
 
-	for _, g := range segs {
-		f, err := os.Open(g.path)
+	visit := func(fr Frame) error {
+		if fr.TS < since || fr.TS > until {
+			return nil
+		}
+		if key != KeyAny && fr.Key != key {
+			return nil
+		}
+		return fn(fr)
+	}
+	for _, rd := range reads {
+		f, err := os.Open(rd.g.path)
 		if err != nil {
 			if os.IsNotExist(err) {
 				continue // compacted away between snapshot and read
 			}
 			return fmt.Errorf("tsdb: query %s: %w", seriesName, err)
 		}
-		_, _, _, _, _, err = scanSegment(f, func(fr Frame) error {
-			if fr.TS < since || fr.TS > until {
-				return nil
+		if rd.off > segHeaderSize {
+			// The offset is only good for the file the snapshot indexed.
+			// If compaction replaced or removed it since, whatever was
+			// opened is read whole from its header instead.
+			sr.mu.Lock()
+			same := rd.g.gen == rd.gen
+			sr.mu.Unlock()
+			if !same {
+				rd.off = 0
 			}
-			if key != KeyAny && fr.Key != key {
-				return nil
-			}
-			return fn(fr)
-		})
+		}
+		err = scanFrom(f, rd.off, visit)
 		f.Close()
 		if err != nil {
 			return err
@@ -601,6 +704,28 @@ func (s *Store) Query(seriesName string, since, until int64, key uint64, fn func
 	}
 	return nil
 }
+
+// scanFrom reads f's frames from offset off, a frame boundary taken
+// from the block index. An offset at or before the first frame scans the
+// whole file, header check included.
+func scanFrom(f *os.File, off int64, fn func(Frame) error) error {
+	if off <= segHeaderSize {
+		_, _, err := scanSegment(f, fn)
+		return err
+	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return err
+	}
+	br := getReader(f)
+	defer putReader(br)
+	_, err := scanFrames(br, off, fn)
+	return err
+}
+
+// testHookQueryOpen, when set by a test, runs between Query's segment
+// snapshot and its file reads — the window a concurrent compaction can
+// fall into.
+var testHookQueryOpen func()
 
 // KeyAny is the Query key wildcard: match frames under every key.
 const KeyAny uint64 = 0

@@ -13,6 +13,14 @@ go test ./...
 go test -race ./...
 go test -run xxx -bench . -benchtime 1x .
 
+# Fuzz smoke, a fixed budget rather than a campaign: arbitrary /query
+# strings against a small seeded store must answer 200 or 400, and every
+# 200 must decode and match the encoding/json oracle byte for byte.
+go test -run xxx -fuzz '^FuzzQuery$' -fuzztime 2000x -parallel 1 ./internal/sentinel
+
+# Store query smoke: one dashboard-sized window over a dense store.
+go test -run xxx -bench BenchmarkQueryFindingsWindow -benchtime 1x ./internal/tsdb
+
 # Streaming forensics pipeline: smoke the synthetic capture generator and
 # the capture-scan benchmarks (baseline vs zero-copy stream).
 go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSnoopScanner|BenchmarkSynthesize' -benchtime 1x .
