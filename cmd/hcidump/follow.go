@@ -91,8 +91,8 @@ func followFile(f io.Reader, idle, pollMax time.Duration, out io.Writer, st *sca
 	for sc.ScanBatch(&b) {
 		for i := range b.Records {
 			st.record(b.Records[i])
+			det.Push(b.Records[i])
 		}
-		det.PushBatch(b.Records)
 		for _, ev := range det.Drain() {
 			st.finding(ev)
 			fmt.Fprintf(out, "%s frame %-5d [%s] peer %s: %s\n",

@@ -2,10 +2,10 @@
 // Android's snoop log, bluez-hcidump, or this project's simulator) and
 // renders them as a trace table. It can also scan a capture for plaintext
 // link keys — the paper's extraction step — and run the forensic analyzer
-// over it. Every btsnoop mode streams the capture in bounded memory;
-// -analyze runs the block-scanning batch pipeline (snoop.BatchScanner /
-// forensics.AnalyzeBatch), so multi-gigabyte dumps decode a few hundred
-// KiB at a time.
+// over it. Every btsnoop mode reads the capture through one block
+// scanner (snoop.BatchScanner), so multi-gigabyte dumps decode a few
+// hundred KiB at a time in bounded memory; -analyze runs the prefiltered
+// batch pipeline (forensics.AnalyzeBatch).
 //
 //	hcidump capture.btsnoop
 //	hcidump -keys capture.btsnoop
@@ -136,22 +136,18 @@ func main() {
 		var report *forensics.Report
 		if st != nil {
 			// The stats collector needs to see every record and every
-			// finding as it completes, so drive the batch scanner and
+			// finding as it completes, so push each record through the
 			// detector directly; the report is bit-identical to
 			// AnalyzeBatch (and so to Analyze).
-			sc := snoop.NewBatchScannerSize(in, 256<<10)
 			det := forensics.NewDetector()
-			var b snoop.RecordBatch
-			for sc.ScanBatch(&b) {
-				for i := range b.Records {
-					st.record(b.Records[i])
-				}
-				det.PushBatch(b.Records)
+			err := scanRecords(in, func(_ int, rec snoop.Record) {
+				st.record(rec)
+				det.Push(rec)
 				for _, ev := range det.Drain() {
 					st.finding(ev)
 				}
-			}
-			if err := sc.Err(); err != nil {
+			})
+			if err != nil {
 				fail(fmt.Errorf("forensics: parsing capture: %w", err))
 			}
 			report = det.Finish()
@@ -187,21 +183,13 @@ func main() {
 
 	out := bufio.NewWriterSize(os.Stdout, 1<<16)
 	fmt.Fprint(out, snoop.TableHeader())
-	if st != nil {
-		sc := snoop.NewScanner(in)
-		for sc.Scan() {
-			st.record(sc.Record())
-			if row, ok := snoop.SummarizeRecord(sc.Frame(), sc.Record()); ok {
-				fmt.Fprint(out, snoop.FormatRow(row))
-			}
-		}
-		err = sc.Err()
-		st.report(os.Stderr)
-	} else {
-		err = snoop.SummarizeStream(in, func(row snoop.FrameSummary) {
+	err = scanRecords(in, func(frame int, rec snoop.Record) {
+		st.record(rec)
+		if row, ok := snoop.SummarizeRecord(frame, rec); ok {
 			fmt.Fprint(out, snoop.FormatRow(row))
-		})
-	}
+		}
+	})
+	st.report(os.Stderr)
 	if err != nil {
 		out.Flush()
 		fail(fmt.Errorf("parsing %s: %w", flag.Arg(0), err))
@@ -212,18 +200,16 @@ func main() {
 			out.Flush()
 			fail(err)
 		}
-		sc := snoop.NewScanner(f)
 		var hexbuf []byte
-		for sc.Scan() {
-			rec := sc.Record()
+		err := scanRecords(f, func(frame int, rec snoop.Record) {
 			dir := "TX"
 			if rec.Received() {
 				dir = "RX"
 			}
 			hexbuf = usbsniff.AppendHex(hexbuf[:0], rec.Data)
-			fmt.Fprintf(out, "%-5d %s %s  %s\n", sc.Frame(), rec.Timestamp.Format("15:04:05.000000"), dir, hexbuf)
-		}
-		if err := sc.Err(); err != nil {
+			fmt.Fprintf(out, "%-5d %s %s  %s\n", frame, rec.Timestamp.Format("15:04:05.000000"), dir, hexbuf)
+		})
+		if err != nil {
 			out.Flush()
 			fail(err)
 		}
@@ -231,6 +217,20 @@ func main() {
 	if err := out.Flush(); err != nil {
 		fail(err)
 	}
+}
+
+// scanRecords calls fn with every record of the btsnoop stream r and its
+// 1-based frame number, in capture order, and returns the scan error.
+// rec.Data is only valid during the call.
+func scanRecords(r io.Reader, fn func(frame int, rec snoop.Record)) error {
+	sc := snoop.NewBatchScannerSize(r, 256<<10)
+	var b snoop.RecordBatch
+	for sc.ScanBatch(&b) {
+		for i := range b.Records {
+			fn(b.First+i, b.Records[i])
+		}
+	}
+	return sc.Err()
 }
 
 func dumpUSB(raw []byte, keys bool) {

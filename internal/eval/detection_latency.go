@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -66,23 +65,11 @@ func RunDetectionLatencyWorkers(seed int64, trials, workers int) (DetectionLaten
 			if err != nil {
 				return latencySample{}, err
 			}
-			det := forensics.NewDetector()
-			sc := snoop.NewScanner(bytes.NewReader(data))
-			sample := latencySample{}
-			for sc.Scan() {
-				det.Push(sc.Record())
-				for _, ev := range det.Drain() {
-					if ev.Finding.Kind == forensics.FindingPageBlocking && !sample.detected {
-						sample.detected = true
-						sample.firstFrame = ev.Frame
-					}
-				}
-			}
-			if err := sc.Err(); err != nil {
+			first, frames, err := firstFinding(data, forensics.FindingPageBlocking)
+			if err != nil {
 				return latencySample{}, err
 			}
-			sample.frames = det.Frames()
-			return sample, nil
+			return latencySample{detected: first > 0, firstFrame: first, frames: frames}, nil
 		})
 	if err != nil {
 		return res, err
@@ -104,6 +91,25 @@ func RunDetectionLatencyWorkers(seed int64, trials, workers int) (DetectionLaten
 		res.MeanFraction = sumFrac / n
 	}
 	return res, nil
+}
+
+// firstFinding runs the incremental detector over a serialized capture
+// and returns the frame of the first finding of the given kind (0 if
+// none fired) and the capture's total frame count. The total comes from
+// the scanner: under PushKept the detector only sees relevant frames.
+func firstFinding(data []byte, kind string) (first, frames int, err error) {
+	sc := snoop.NewBatchScannerBytes(data)
+	det := forensics.NewDetector()
+	var b snoop.RecordBatch
+	for sc.ScanBatchKeep(&b, forensics.RelevantRecord) {
+		det.PushKept(b.Frames, b.Records)
+		for _, ev := range det.Drain() {
+			if ev.Finding.Kind == kind && first == 0 {
+				first = ev.Frame
+			}
+		}
+	}
+	return first, sc.Frame(), sc.Err()
 }
 
 // RunDetectionLatency is RunDetectionLatencyWorkers with default workers.

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -17,15 +16,13 @@ import (
 // analyzeDump runs the forensic analyzer over the serialized btsnoop
 // artifact, the same bytes an investigator would pull off the device —
 // exercising the real capture-file path rather than the in-memory record
-// shortcut. Streaming workers are pinned to 1 because each call already
-// runs inside a campaign trial; nesting decode pools inside the campaign
-// pool would oversubscribe the host for no gain.
+// shortcut.
 func analyzeDump(d *snoop.HCIDump) (*forensics.Report, error) {
 	data, err := d.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	return forensics.AnalyzeStreamWorkers(bytes.NewReader(data), 1)
+	return forensics.AnalyzeBytes(data)
 }
 
 // ForensicsSweepResult summarizes detector quality over many worlds.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/snoop"
 )
@@ -65,10 +66,12 @@ func TestDetectorEventsMatchBatchFindings(t *testing.T) {
 }
 
 // TestPushBatchMatchesPush pins the prefiltered batch entry to the
-// record-at-a-time path: for every capture and for awkward batch splits
-// (including empty and single-record batches), PushBatch must yield the
-// same frame count, the same drained events, and a deeply identical
-// report.
+// record-at-a-time path: PushKept over ScanBatchKeep(RelevantRecord)
+// batches must drain the same events and build a deeply identical
+// report as Push over every record, for every batch split the scanner
+// can produce — a 4 KiB block scanner with every block boundary
+// possible down to one record per batch (one-byte trickle), and the
+// zero-copy bytes mode.
 func TestPushBatchMatchesPush(t *testing.T) {
 	for name, data := range streamTestCaptures(t) {
 		recs, err := snoop.ReadAll(data)
@@ -83,27 +86,54 @@ func TestPushBatchMatchesPush(t *testing.T) {
 		}
 		want := ref.Finish()
 
-		for _, chunk := range []int{1, 3, 7, 64, 4096, len(recs) + 1} {
+		for mode, sc := range map[string]*snoop.BatchScanner{
+			"block":   snoop.NewBatchScannerSize(bytes.NewReader(data), 4<<10),
+			"trickle": snoop.NewBatchScanner(iotest.OneByteReader(bytes.NewReader(data))),
+			"bytes":   snoop.NewBatchScannerBytes(data),
+		} {
 			d := NewDetector()
 			var events []Event
-			for i := 0; i < len(recs); i += chunk {
-				end := i + chunk
-				if end > len(recs) {
-					end = len(recs)
-				}
-				d.PushBatch(recs[i:end])
+			var b snoop.RecordBatch
+			for sc.ScanBatchKeep(&b, RelevantRecord) {
+				d.PushKept(b.Frames, b.Records)
 				events = append(events, d.Drain()...)
 			}
-			d.PushBatch(nil) // empty batches are no-ops
-			if d.Frames() != len(recs) {
-				t.Fatalf("%s chunk=%d: Frames()=%d, want %d", name, chunk, d.Frames(), len(recs))
+			if err := sc.Err(); err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			d.PushKept(nil, nil) // empty batches are no-ops
+			if sc.Frame() != len(recs) {
+				t.Fatalf("%s %s: scanner frame %d, want %d", name, mode, sc.Frame(), len(recs))
 			}
 			if !reflect.DeepEqual(d.Finish(), want) {
-				t.Fatalf("%s chunk=%d: batch report differs from Push", name, chunk)
+				t.Fatalf("%s %s: batch report differs from Push", name, mode)
 			}
 			if !reflect.DeepEqual(events, wantEvents) {
-				t.Fatalf("%s chunk=%d: %d batch events, %d push events (or contents differ)",
-					name, chunk, len(events), len(wantEvents))
+				t.Fatalf("%s %s: %d batch events, %d push events (or contents differ)",
+					name, mode, len(events), len(wantEvents))
+			}
+		}
+
+		// Re-split the kept records at awkward sizes, single records and
+		// one batch for everything included.
+		var frames []int
+		var kept []snoop.Record
+		sc := snoop.NewBatchScannerBytes(data)
+		var b snoop.RecordBatch
+		for sc.ScanBatchKeep(&b, RelevantRecord) {
+			frames = append(frames, b.Frames...)
+			kept = append(kept, b.Records...)
+		}
+		for _, chunk := range []int{1, 3, 7, 64, len(kept) + 1} {
+			d := NewDetector()
+			var events []Event
+			for i := 0; i < len(kept); i += chunk {
+				end := min(i+chunk, len(kept))
+				d.PushKept(frames[i:end], kept[i:end])
+				events = append(events, d.Drain()...)
+			}
+			if !reflect.DeepEqual(d.Finish(), want) || !reflect.DeepEqual(events, wantEvents) {
+				t.Fatalf("%s chunk=%d: PushKept diverges from Push", name, chunk)
 			}
 		}
 	}

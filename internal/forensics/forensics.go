@@ -11,10 +11,12 @@
 //   - suspicious timeout disconnects during authentication (the trace a
 //     link key extraction attack leaves on the *accessory*).
 //
-// Three entry points share one single-pass session reducer: Analyze
-// walks records already in memory; AnalyzeStream (stream.go) digests a
-// btsnoop stream of any size in bounded memory with parallel decode
-// workers; Detector (detector.go) is the incremental core both wrap —
+// Every entry point shares one single-pass session reducer. Analyze
+// walks records already in memory, one Detector.Push each: the
+// record-at-a-time reference. AnalyzeBatch and AnalyzeBytes (stream.go)
+// digest a btsnoop stream or byte slice of any size in bounded memory,
+// prefiltering inside the scan sweep and feeding Detector.PushKept.
+// Detector (detector.go) is the incremental core all of them wrap —
 // push records as they arrive, drain findings as soon as the reducer
 // produces them — and is what the blapd live-ingestion daemon and
 // hcidump's tail mode run against a capture that is still growing.
@@ -64,7 +66,7 @@ type Session struct {
 	// for this session's peer with a stored key — the precondition of the
 	// silent re-pairing signature. flaggedSilentRepair keeps that finding
 	// one-shot per session.
-	suppliedStoredKey  bool
+	suppliedStoredKey   bool
 	flaggedSilentRepair bool
 }
 
@@ -116,11 +118,10 @@ type Report struct {
 }
 
 // sessionState is the single-pass session reducer at the core of every
-// entry point (Analyze, AnalyzeStream, the live Detector). It consumes
-// typed HCI messages in capture order; because its input is a pure
-// function of each record, feeding it from a serial loop, an ordered
-// parallel decode pipeline, or a live socket yields bit-identical
-// reports. Findings are emitted the moment the last record completing
+// entry point (Analyze, AnalyzeBatch, AnalyzeBytes, the live Detector).
+// It consumes typed HCI messages in capture order; because its input is
+// a pure function of each record, feeding it from a slice, a prefiltered
+// batch scan, or a live socket yields bit-identical reports. Findings are emitted the moment the last record completing
 // them is applied — never deferred to end-of-capture — which is what
 // lets the Detector surface them while a capture is still being written.
 type sessionState struct {
@@ -205,7 +206,7 @@ func (st *sessionState) checkPageBlocking(s *Session) {
 }
 
 // apply folds one decoded message (a typed *hci.Command or *hci.Event
-// from decodeRecord) into the session state. frame is the record's
+// from decodeRelevant) into the session state. frame is the record's
 // 1-based capture position, ts its timestamp.
 func (st *sessionState) apply(frame int, ts time.Time, msg any) {
 	st.frame, st.ts = frame, ts
@@ -384,15 +385,6 @@ func decodeRelevant(dir hci.Direction, raw []byte) any {
 		return nil
 	}
 	return evt
-}
-
-// decodeRecord classifies one raw H4 record and fully parses only the
-// packet kinds the reducer consumes, returning nil for everything else.
-func decodeRecord(dir hci.Direction, raw []byte) any {
-	if !RelevantRecord(raw) {
-		return nil
-	}
-	return decodeRelevant(dir, raw)
 }
 
 func recordDir(rec snoop.Record) hci.Direction {

@@ -1,6 +1,8 @@
 package forensics
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +87,8 @@ func TestDetectsExtractionStallOnAccessoryDump(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFileRoundTrip analyzes a device's pulled snoop log file
+// through both capture entries, the bytes one and the reader one.
 func TestAnalyzeFileRoundTrip(t *testing.T) {
 	tb := mustTestbed(t, 4, core.TestbedOptions{Bond: true})
 	tb.M.Host.Pair(tb.C.Addr(), func(error) {})
@@ -93,9 +97,12 @@ func TestAnalyzeFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := AnalyzeFile(data)
+	report, err := AnalyzeBytes(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fromReader, err := AnalyzeBatch(bytes.NewReader(data)); err != nil || !reflect.DeepEqual(fromReader, report) {
+		t.Fatalf("AnalyzeBatch differs from AnalyzeBytes (err %v)", err)
 	}
 	if len(report.Sessions) == 0 {
 		t.Fatal("no sessions reconstructed from the file")
@@ -103,8 +110,11 @@ func TestAnalyzeFileRoundTrip(t *testing.T) {
 	if !strings.Contains(report.Render(), "session") {
 		t.Fatal("render")
 	}
-	if _, err := AnalyzeFile([]byte("garbage")); err == nil {
+	if _, err := AnalyzeBytes([]byte("garbage")); err == nil {
 		t.Fatal("garbage file accepted")
+	}
+	if _, err := AnalyzeBatch(strings.NewReader("garbage")); err == nil {
+		t.Fatal("garbage stream accepted")
 	}
 }
 

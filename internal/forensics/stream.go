@@ -3,74 +3,17 @@ package forensics
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"time"
 
-	"repro/internal/hci"
 	"repro/internal/snoop"
 )
 
-// Pipeline shape. A batch holds up to batchRecords payloads packed into
-// one contiguous arena; the scanner goroutine fills batches, a worker
-// pool decodes them, and the caller's goroutine reduces them in
-// submission order. Peak memory is bounded by the in-flight batch count
-// (the ordered channel's capacity plus the ones held by scanner,
-// workers, and reducer) regardless of capture size.
-const (
-	batchRecords = 512
-	batchArena   = 128 << 10
-)
-
-type recMeta struct {
-	off, n int
-	frame  int
-	ts     time.Time
-	dir    hci.Direction
-}
-
-type batch struct {
-	arena []byte
-	meta  []recMeta
-	msgs  []any
-	done  chan struct{}
-}
-
-// AnalyzeStream reconstructs sessions and findings from a btsnoop
-// stream, producing a report bit-identical to Analyze over the same
-// records while reading the capture incrementally in bounded memory.
-// Decoding runs on runtime.GOMAXPROCS(0) workers.
-func AnalyzeStream(r io.Reader) (*Report, error) {
-	return AnalyzeStreamWorkers(r, 0)
-}
-
-// AnalyzeStreamWorkers is AnalyzeStream with an explicit decode worker
-// count; values <= 0 select runtime.GOMAXPROCS(0). workers == 1 runs the
-// whole pipeline on the calling goroutine — the serial reference path.
-// Because records are decoded independently and reduced strictly in
-// capture order, the report is invariant across worker counts.
-func AnalyzeStreamWorkers(r io.Reader, workers int) (*Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return analyzeSerial(r)
-	}
-	return analyzeParallel(r, workers)
-}
-
-// AnalyzeFile parses a btsnoop file and analyzes it via the zero-copy
-// batch path.
-func AnalyzeFile(data []byte) (*Report, error) {
-	return AnalyzeBytes(data)
-}
-
 // AnalyzeBatch reconstructs sessions and findings from a btsnoop stream
-// through the batch pipeline: block scanning (BatchScanner) feeding the
-// prefiltered PushBatch. It produces a report bit-identical to Analyze
-// and AnalyzeStream over the same records — the identity tests and the
-// scanner differential fuzz pin this — at a fraction of the per-record
-// cost. This is the path hcidump -analyze and the benchmark suite run.
+// through the batch pipeline: block scanning (snoop.BatchScanner) with
+// the RelevantRecord prefilter pushed into the scan sweep, feeding
+// Detector.PushKept. It produces a report bit-identical to Analyze over
+// the same records — the identity tests and the scanner differential
+// fuzz pin this — in memory bounded by the scan block, whatever the
+// capture size. This is the path hcidump -analyze runs.
 func AnalyzeBatch(r io.Reader) (*Report, error) {
 	return analyzeBatches(snoop.NewBatchScannerSize(r, 256<<10))
 }
@@ -86,8 +29,7 @@ func analyzeBatches(sc *snoop.BatchScanner) (*Report, error) {
 	// so buffering Events nobody drains would only add churn. The
 	// prefilter runs inside the scan sweep (ScanBatchKeep), so the ~97%
 	// of records the reducer ignores are never even materialized; the
-	// few that survive carry their absolute frame numbers in b.Frames
-	// and feed the same ordered-reduce entry the parallel pipeline uses.
+	// few that survive carry their absolute frame numbers in b.Frames.
 	d := &Detector{st: newSessionState()}
 	var b snoop.RecordBatch
 	for sc.ScanBatchKeep(&b, RelevantRecord) {
@@ -95,96 +37,6 @@ func analyzeBatches(sc *snoop.BatchScanner) (*Report, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("forensics: parsing capture: %w", err)
-	}
-	return d.Finish(), nil
-}
-
-func analyzeSerial(r io.Reader) (*Report, error) {
-	sc := snoop.NewScanner(r)
-	d := NewDetector()
-	for sc.Scan() {
-		d.Push(sc.Record())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("forensics: parsing capture: %w", err)
-	}
-	return d.Finish(), nil
-}
-
-func analyzeParallel(r io.Reader, workers int) (*Report, error) {
-	var pool sync.Pool
-	pool.New = func() any { return &batch{} }
-	getBatch := func() *batch {
-		b := pool.Get().(*batch)
-		b.arena = b.arena[:0]
-		b.meta = b.meta[:0]
-		b.done = make(chan struct{})
-		return b
-	}
-
-	work := make(chan *batch, workers)
-	// ordered carries every batch in submission order; its capacity (plus
-	// the batches held by the scanner and reducer) bounds memory.
-	ordered := make(chan *batch, 2*workers)
-
-	for g := 0; g < workers; g++ {
-		go func() {
-			for b := range work {
-				if cap(b.msgs) < len(b.meta) {
-					b.msgs = make([]any, len(b.meta))
-				}
-				b.msgs = b.msgs[:len(b.meta)]
-				for i, m := range b.meta {
-					b.msgs[i] = decodeRecord(m.dir, b.arena[m.off:m.off+m.n])
-				}
-				close(b.done)
-			}
-		}()
-	}
-
-	var scanErr error
-	go func() {
-		defer close(work)
-		defer close(ordered)
-		sc := snoop.NewScanner(r)
-		b := getBatch()
-		flush := func() {
-			if len(b.meta) == 0 {
-				return
-			}
-			ordered <- b
-			work <- b
-			b = getBatch()
-		}
-		for sc.Scan() {
-			rec := sc.Record()
-			if len(b.meta) >= batchRecords || (len(b.arena)+len(rec.Data) > batchArena && len(b.meta) > 0) {
-				flush()
-			}
-			off := len(b.arena)
-			b.arena = append(b.arena, rec.Data...)
-			b.meta = append(b.meta, recMeta{
-				off: off, n: len(rec.Data),
-				frame: sc.Frame(), ts: rec.Timestamp, dir: recordDir(rec),
-			})
-		}
-		scanErr = sc.Err()
-		flush()
-	}()
-
-	d := NewDetector()
-	for b := range ordered {
-		<-b.done
-		for i, m := range b.meta {
-			d.pushDecoded(m.frame, m.ts, b.msgs[i])
-		}
-		b.done = nil
-		pool.Put(b)
-	}
-	// The scanner goroutine wrote scanErr before closing ordered, so the
-	// read below is ordered after it.
-	if scanErr != nil {
-		return nil, fmt.Errorf("forensics: parsing capture: %w", scanErr)
 	}
 	return d.Finish(), nil
 }

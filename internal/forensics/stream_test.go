@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/bt"
@@ -59,9 +60,11 @@ func streamTestCaptures(t *testing.T) map[string][]byte {
 	return out
 }
 
-// TestAnalyzeStreamMatchesAnalyze pins the streaming pipeline to the
-// in-memory analyzer: for every capture and every worker count the
-// reports must be deeply identical, findings order included.
+// TestAnalyzeStreamMatchesAnalyze pins the capture entries to the
+// in-memory reference: AnalyzeBatch over a block reader, a one-byte
+// trickle reader (every record straddles a read) and a small-block
+// scanner, and AnalyzeBytes over the slice, must each produce a report
+// deeply identical to Analyze(ReadAll), findings order included.
 func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	for name, data := range streamTestCaptures(t) {
 		recs, err := snoop.ReadAll(data)
@@ -72,20 +75,13 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 		if name != "normal-pairing" && len(want.Findings) == 0 {
 			t.Fatalf("%s: scenario lost its findings", name)
 		}
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			got, err := AnalyzeStreamWorkers(bytes.NewReader(data), workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s workers=%d: streaming report differs from Analyze\nstream: %s\nmemory: %s",
-					name, workers, got.Render(), want.Render())
-			}
-		}
 		for mode, run := range map[string]func() (*Report, error){
-			"batch": func() (*Report, error) { return AnalyzeBatch(bytes.NewReader(data)) },
+			"batch":   func() (*Report, error) { return AnalyzeBatch(bytes.NewReader(data)) },
+			"trickle": func() (*Report, error) { return AnalyzeBatch(iotest.OneByteReader(bytes.NewReader(data))) },
+			"block4k": func() (*Report, error) {
+				return analyzeBatches(snoop.NewBatchScannerSize(bytes.NewReader(data), 4<<10))
+			},
 			"bytes": func() (*Report, error) { return AnalyzeBytes(data) },
-			"file":  func() (*Report, error) { return AnalyzeFile(data) },
 		} {
 			got, err := run()
 			if err != nil {
@@ -141,9 +137,10 @@ func TestFailedConnectionCompleteDoesNotLeakIncoming(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamBoundedMemory checks the pipeline never buffers the
-// whole capture: total allocation during a streaming pass over a large
-// capture must stay well below the capture size.
+// TestAnalyzeStreamBoundedMemory checks the batch pipeline never
+// buffers the whole capture: total allocation during an AnalyzeBatch
+// pass over a large capture read from a stream must stay well below the
+// capture size.
 func TestAnalyzeStreamBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted by the race detector")
@@ -157,7 +154,7 @@ func TestAnalyzeStreamBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep, err := AnalyzeStreamWorkers(bytes.NewReader(data), 2)
+	rep, err := AnalyzeBatch(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Batch scanning: the record-at-a-time Scanner costs two io.ReadFull
-// calls (plus a bufio memmove each) per record, which at millions of
-// records per second is most of the ingest budget. BatchScanner inverts
+// BatchScanner is the package's capture reader. A record-at-a-time
+// reader costs two io.ReadFull calls per record, which at millions of
+// records per second is most of the ingest budget; BatchScanner inverts
 // the loop: one large Read per pass deposits a block of the stream
 // directly into the batch's buffer, and a single in-memory sweep decodes
 // every complete record header in it. Steady-state cost is one syscall
@@ -31,12 +31,14 @@ import (
 // sentinel daemon run the same code for a phone dribbling HCI events
 // and a 50 MB log replayed at socket speed.
 //
-// Error and offset semantics mirror Scanner exactly (clean EOF at a
-// record boundary, ErrTruncated wrapping io.ErrUnexpectedEOF mid-record
-// with Offset at the death byte, framing errors rewound to the offending
-// header); the FuzzScanner differential pins the two scanners to
-// identical record sequences, offsets, and error classes on arbitrary
-// input.
+// Errors are classified so callers can triage how a stream died: a
+// clean EOF at a record boundary reports nil, a capture cut off
+// mid-record wraps ErrTruncated and io.ErrUnexpectedEOF with Offset at
+// the death byte, corrupt length framing wraps ErrBadFraming with Offset
+// rewound to the offending header, and transport failures keep their
+// underlying error in the chain. The FuzzScanner differential pins the
+// stream, one-byte-trickle and bytes modes to a plain io.ReadFull
+// reference decoder on arbitrary input.
 type BatchScanner struct {
 	r          io.Reader
 	all        []byte // bytes mode: the entire stream, decoded in place
@@ -64,9 +66,9 @@ type RecordBatch struct {
 	// Records holds the batch's records in capture order.
 	Records []Record
 	// First is the 1-based frame number of the first record scanned for
-	// this batch. Under ScanBatch, Records[i] is frame First+i, matching
-	// Scanner.Frame numbering; under ScanBatchKeep batches are not
-	// contiguous and Frames is authoritative instead.
+	// this batch. Under ScanBatch, Records[i] is frame First+i; under
+	// ScanBatchKeep batches are not contiguous and Frames is
+	// authoritative instead.
 	First int
 	// Frames, filled only by ScanBatchKeep, holds the 1-based frame
 	// number of each Records[i]. Empty for ScanBatch batches.
@@ -88,9 +90,22 @@ const (
 	maxBatchRecords = 4096
 )
 
+// Buffer-shrink policy: one giant record (up to maxRecord, 1 MiB) grows
+// the batch buffer, and without a release valve the scanner would pin
+// that high-water allocation for the rest of the stream — per-connection
+// in blapd, that is max-record-sized ballast per idle stream. After
+// shrinkAfter consecutive records of at most shrinkTo bytes, a buffer
+// beyond twice the block size is traded for a fresh one. The run-length
+// condition keeps a genuinely mixed stream (periodic big vendor events)
+// from thrashing allocations.
+const (
+	shrinkTo    = 4 << 10
+	shrinkAfter = 64
+)
+
 // NewBatchScanner returns a BatchScanner over a btsnoop stream with the
-// default block size. Unlike NewScanner it never wraps r in a
-// bufio.Reader — the batch buffer is the read buffer.
+// default block size. It never wraps r in a bufio.Reader — the batch
+// buffer is the read buffer.
 func NewBatchScanner(r io.Reader) *BatchScanner {
 	return NewBatchScannerSize(r, defaultBatchBytes)
 }
@@ -141,7 +156,7 @@ func NewBatchScannerBytes(data []byte) *BatchScanner {
 func (s *BatchScanner) fill(buf []byte) []byte {
 	if len(buf) == cap(buf) {
 		// The pending element outgrows the block: grow geometrically,
-		// bounded by the maxRecord cap enforced in decodeRecordHeader.
+		// bounded by the maxRecord cap enforced in decodeSpan.
 		grown := make([]byte, len(buf), 2*cap(buf))
 		copy(grown, buf)
 		buf = grown
@@ -170,12 +185,9 @@ func (s *BatchScanner) decodeSpan(b *RecordBatch, buf []byte, pos int, keep func
 		orig := binary.BigEndian.Uint32(h)
 		incl := binary.BigEndian.Uint32(h[4:8])
 		if incl > maxRecord || incl > orig {
-			// Rebuild the precise error through the shared slow path so
-			// both scanners report byte-identical failures.
 			s.off, s.frame, s.smallRun = off, frame, smallRun
 			b.Records, b.Frames = recs, frames
-			_, _, derr := decodeRecordHeader((*[24]byte)(h))
-			s.err = fmt.Errorf("record header at offset %d: %w", off, derr)
+			s.err = fmt.Errorf("record header at offset %d: %w", off, framingError(orig, incl))
 			return pos
 		}
 		end := pos + 24 + int(incl)
@@ -213,9 +225,9 @@ func (s *BatchScanner) decodeSpan(b *RecordBatch, buf []byte, pos int, keep func
 }
 
 // classifyEnd converts "the stream is over with `left` undecodable bytes
-// buffered" into the Scanner-compatible terminal state: clean EOF at a
-// boundary, mid-header or mid-payload truncation with Offset advanced to
-// the death byte, or the underlying transport error.
+// buffered" into the terminal state: clean EOF at a boundary, mid-header
+// or mid-payload truncation with Offset advanced to the death byte, or
+// the underlying transport error.
 func (s *BatchScanner) classifyEnd(left int) {
 	switch {
 	case left == 0:
@@ -243,7 +255,7 @@ func (s *BatchScanner) classifyEnd(left int) {
 // ScanBatch advances to the next batch of records, reusing b's buffer
 // and Records slice. It returns false at end of stream or on error; Err
 // distinguishes the two. After false, Offset reports where the stream
-// ended or died, exactly as Scanner does.
+// ended or died.
 func (s *BatchScanner) ScanBatch(b *RecordBatch) bool {
 	return s.scanBatch(b, nil)
 }
@@ -277,10 +289,8 @@ func (s *BatchScanner) scanBatch(b *RecordBatch, keep func([]byte) bool) bool {
 	if s.all != nil {
 		return s.scanBytes(b, keep)
 	}
-	// Shrink valve, mirroring Scanner: one giant record grows the batch
-	// buffer, and after shrinkAfter consecutive small records a buffer
-	// beyond twice the block size is traded for a fresh one so idle
-	// sentinel streams don't pin max-record ballast.
+	// Shrink valve (see shrinkAfter): idle sentinel streams must not
+	// pin max-record ballast.
 	if s.smallRun >= shrinkAfter && cap(b.buf) > 2*s.batchBytes {
 		b.buf = nil
 		s.smallRun = 0
@@ -384,8 +394,7 @@ func (s *BatchScanner) scanBytes(b *RecordBatch, keep func([]byte) bool) bool {
 }
 
 // Err returns the first error encountered, or nil if the stream ended
-// cleanly at a record boundary — the same classification contract as
-// Scanner.Err.
+// cleanly at a record boundary; see BatchScanner for the classes.
 func (s *BatchScanner) Err() error {
 	if s.err == io.EOF {
 		return nil
@@ -447,9 +456,15 @@ func (s *Slab) Copy(p []byte) []byte {
 	return s.block[start:len(s.block):len(s.block)]
 }
 
+// Clone returns a deep copy of the record whose Data no longer aliases
+// any scanner buffer.
+func (r Record) Clone() Record {
+	r.Data = append([]byte(nil), r.Data...)
+	return r
+}
+
 // CloneInto returns a deep copy of the record with Data carved from the
-// slab — the batch-era replacement for Clone when many records are
-// retained at once.
+// slab — the cheaper Clone when many records are retained at once.
 func (r Record) CloneInto(s *Slab) Record {
 	r.Data = s.Copy(r.Data)
 	return r

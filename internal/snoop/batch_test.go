@@ -11,7 +11,8 @@ import (
 )
 
 // errClass buckets a scanner-terminal error the way callers triage them;
-// the batch and incremental scanners must always land in the same bucket.
+// the batch scanner and the refScan reference must always land in the
+// same bucket.
 func errClass(err error) string {
 	switch {
 	case err == nil:
@@ -74,6 +75,9 @@ func recordsEqual(t testing.TB, name string, got, want []Record) {
 	}
 }
 
+// TestBatchScannerMatchesScanner pins both BatchScanner modes to the
+// refScan reference decoder on clean captures: records, final Offset and
+// datalink.
 func TestBatchScannerMatchesScanner(t *testing.T) {
 	captures := map[string][]byte{
 		"sample": serializeRecords(t, fixLengths(sampleRecords())),
@@ -81,13 +85,9 @@ func TestBatchScannerMatchesScanner(t *testing.T) {
 	captures["synthetic"], _ = synthCapture(t, 5000, 7)
 
 	for name, data := range captures {
-		sc := NewScanner(bytes.NewReader(data))
-		var want []Record
-		for sc.Scan() {
-			want = append(want, sc.Record().Clone())
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("%s: scanner: %v", name, err)
+		want, wantDL, wantOff, err := refScan(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
 		}
 
 		for mode, bs := range map[string]*BatchScanner{
@@ -99,11 +99,11 @@ func TestBatchScannerMatchesScanner(t *testing.T) {
 				t.Fatalf("%s/%s: batch scanner: %v", name, mode, err)
 			}
 			recordsEqual(t, name+"/"+mode, got, want)
-			if bs.Offset() != sc.Offset() {
-				t.Fatalf("%s/%s: offset %d, scanner %d", name, mode, bs.Offset(), sc.Offset())
+			if bs.Offset() != wantOff {
+				t.Fatalf("%s/%s: offset %d, reference %d", name, mode, bs.Offset(), wantOff)
 			}
-			if bs.Datalink() != sc.Datalink() {
-				t.Fatalf("%s/%s: datalink %d, scanner %d", name, mode, bs.Datalink(), sc.Datalink())
+			if bs.Datalink() != wantDL {
+				t.Fatalf("%s/%s: datalink %d, reference %d", name, mode, bs.Datalink(), wantDL)
 			}
 		}
 	}
@@ -130,19 +130,14 @@ func TestBatchScannerTrickleLiveness(t *testing.T) {
 }
 
 // TestBatchScannerTruncationBoundaries cuts a capture at every byte
-// offset: the batch scanner must agree with the incremental Scanner on
+// offset: the batch scanner must agree with the refScan reference on
 // record count, final Offset, and error class at every cut — the
 // death-offset contract blapd's stream-end events rely on.
 func TestBatchScannerTruncationBoundaries(t *testing.T) {
 	data, _ := synthCapture(t, 40, 21)
 	for cut := 0; cut <= len(data); cut++ {
 		prefix := data[:cut]
-
-		sc := NewScanner(bytes.NewReader(prefix))
-		wantN := 0
-		for sc.Scan() {
-			wantN++
-		}
+		want, _, wantOff, wantErr := refScan(bytes.NewReader(prefix))
 
 		for mode, bs := range map[string]*BatchScanner{
 			"stream": NewBatchScanner(bytes.NewReader(prefix)),
@@ -153,15 +148,15 @@ func TestBatchScannerTruncationBoundaries(t *testing.T) {
 			for bs.ScanBatch(&b) {
 				gotN += len(b.Records)
 			}
-			if gotN != wantN {
-				t.Fatalf("cut %d/%s: batch %d records, scanner %d", cut, mode, gotN, wantN)
+			if gotN != len(want) {
+				t.Fatalf("cut %d/%s: batch %d records, reference %d", cut, mode, gotN, len(want))
 			}
-			if got, want := errClass(bs.Err()), errClass(sc.Err()); got != want {
-				t.Fatalf("cut %d/%s: batch error %q (%v), scanner %q (%v)",
-					cut, mode, got, bs.Err(), want, sc.Err())
+			if got, want := errClass(bs.Err()), errClass(wantErr); got != want {
+				t.Fatalf("cut %d/%s: batch error %q (%v), reference %q (%v)",
+					cut, mode, got, bs.Err(), want, wantErr)
 			}
-			if bs.Offset() != sc.Offset() {
-				t.Fatalf("cut %d/%s: batch offset %d, scanner %d", cut, mode, bs.Offset(), sc.Offset())
+			if bs.Offset() != wantOff {
+				t.Fatalf("cut %d/%s: batch offset %d, reference %d", cut, mode, bs.Offset(), wantOff)
 			}
 			// Scanning past the failure must stay stopped.
 			if bs.ScanBatch(&b) {
@@ -299,50 +294,6 @@ func TestSlabCopy(t *testing.T) {
 	}
 }
 
-// TestRewritePreservesDatalink is the regression test for the header
-// restamping bug: Rewrite used to emit DatalinkH4 regardless of the
-// source stream's datalink.
-func TestRewritePreservesDatalink(t *testing.T) {
-	for _, dl := range []uint32{DatalinkH1, DatalinkH4, DatalinkBCSP, DatalinkH5} {
-		var src bytes.Buffer
-		w := NewWriter(&src)
-		w.SetDatalink(dl)
-		if err := w.WriteRecord(Record{Data: []byte{0x01, 0x03, 0x0c, 0x00}, OriginalLength: 4}); err != nil {
-			t.Fatal(err)
-		}
-
-		var out bytes.Buffer
-		kept, dropped, err := Rewrite(&out, bytes.NewReader(src.Bytes()), nil)
-		if err != nil || kept != 1 || dropped != 0 {
-			t.Fatalf("datalink %d: kept=%d dropped=%d err=%v", dl, kept, dropped, err)
-		}
-		if !bytes.Equal(out.Bytes(), src.Bytes()) {
-			t.Fatalf("datalink %d: rewrite is not a byte-identical round-trip", dl)
-		}
-		r := NewReader(bytes.NewReader(out.Bytes()))
-		if _, err := r.ReadRecord(); err != nil {
-			t.Fatalf("datalink %d: read back: %v", dl, err)
-		}
-		if r.Datalink() != dl {
-			t.Fatalf("rewrite stamped datalink %d, want %d", r.Datalink(), dl)
-		}
-
-		// Header-only sources keep their datalink too.
-		var hdrOnly, out2 bytes.Buffer
-		w2 := NewWriter(&hdrOnly)
-		w2.SetDatalink(dl)
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Rewrite(&out2, bytes.NewReader(hdrOnly.Bytes()), nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out2.Bytes(), hdrOnly.Bytes()) {
-			t.Fatalf("datalink %d: header-only rewrite differs", dl)
-		}
-	}
-}
-
 // TestSetDatalinkLatchedAfterHeader: once the header is out, the
 // datalink cannot change mid-file.
 func TestSetDatalinkLatchedAfterHeader(t *testing.T) {
@@ -352,12 +303,12 @@ func TestSetDatalinkLatchedAfterHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetDatalink(DatalinkH1)
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r.ReadRecord(); err != nil {
-		t.Fatal(err)
+	sc := NewBatchScannerBytes(buf.Bytes())
+	if recs := collectBatches(t, sc); len(recs) != 1 || sc.Err() != nil {
+		t.Fatalf("read back %d records: %v", len(recs), sc.Err())
 	}
-	if r.Datalink() != DatalinkH4 {
-		t.Fatalf("late SetDatalink rewrote the header: %d", r.Datalink())
+	if sc.Datalink() != DatalinkH4 {
+		t.Fatalf("late SetDatalink rewrote the header: %d", sc.Datalink())
 	}
 }
 

@@ -91,8 +91,7 @@ type Writer struct {
 
 // NewWriter returns a Writer that emits the file header on the first
 // record (or on Flush). The datalink defaults to DatalinkH4; use
-// SetDatalink before the first record to emit a different one (Rewrite
-// does this to preserve the source stream's datalink).
+// SetDatalink before the first record to emit a different one.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w, datalink: DatalinkH4} }
 
 // SetDatalink sets the datalink type stamped into the file header. It
@@ -148,44 +147,9 @@ func (w *Writer) WriteRecord(r Record) error {
 // Flush forces the file header out even if no records were written.
 func (w *Writer) Flush() error { return w.header() }
 
-// Reader parses a btsnoop stream.
-type Reader struct {
-	r        io.Reader
-	datalink uint32
-	started  bool
-}
-
-// NewReader returns a Reader over a btsnoop stream. The header is
-// validated on the first ReadRecord call.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// Datalink returns the stream's datalink type; valid after the first
-// successful ReadRecord.
-func (r *Reader) Datalink() uint32 { return r.datalink }
-
-// readFileHeader consumes and validates the 16-byte file header,
-// returning the datalink type and how many bytes were consumed. Shared
-// by Reader and Scanner. A stream that ends inside the header — including
-// an empty stream — is classified as io.ErrUnexpectedEOF (there is no
-// record boundary to end cleanly at before the header).
-func readFileHeader(r io.Reader) (uint32, int, error) {
-	var hdr [16]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, n, fmt.Errorf("%w: file header: %w", ErrTruncated, err)
-	}
-	dl, err := parseFileHeader(&hdr)
-	return dl, n, err
-}
-
 // parseFileHeader validates a fully buffered 16-byte file header and
-// returns the datalink type. Shared by readFileHeader and BatchScanner
-// so both enforce identical rules. All datalink types btsnoop defines
-// are accepted (H1/H4/BCSP/H5 — Rewrite must round-trip any of them);
-// anything else is ErrBadDatalink.
+// returns the datalink type. All datalink types btsnoop defines are
+// accepted (H1/H4/BCSP/H5); anything else is ErrBadDatalink.
 func parseFileHeader(hdr *[16]byte) (uint32, error) {
 	if string(hdr[:8]) != magic {
 		return 0, ErrBadMagic
@@ -201,69 +165,19 @@ func parseFileHeader(hdr *[16]byte) (uint32, error) {
 	return 0, fmt.Errorf("%w: %d", ErrBadDatalink, datalink)
 }
 
-func (r *Reader) readHeader() error {
-	if r.started {
-		return nil
-	}
-	r.started = true
-	dl, _, err := readFileHeader(r.r)
-	if err != nil {
-		return err
-	}
-	r.datalink = dl
-	return nil
-}
-
 // maxRecord bounds a single record payload; no real H4 packet comes
 // close, and the cap keeps hostile length fields from forcing huge
 // allocations.
 const maxRecord = 1 << 20
 
-// decodeRecordHeader parses the 24-byte record header into everything
-// but the payload, validating the length framing. Shared by Reader and
-// Scanner so both enforce identical rules.
-func decodeRecordHeader(hdr *[24]byte) (rec Record, incl uint32, err error) {
-	rec = Record{
-		OriginalLength:  binary.BigEndian.Uint32(hdr[0:4]),
-		Flags:           binary.BigEndian.Uint32(hdr[8:12]),
-		CumulativeDrops: binary.BigEndian.Uint32(hdr[12:16]),
-	}
-	incl = binary.BigEndian.Uint32(hdr[4:8])
-	ts := int64(binary.BigEndian.Uint64(hdr[16:24])) - btsnoopEpochDelta
-	rec.Timestamp = time.UnixMicro(ts).UTC()
+// framingError names the rule a record header with these lengths
+// breaks: an implausible payload size, or more bytes captured than the
+// packet originally had.
+func framingError(orig, incl uint32) error {
 	if incl > maxRecord {
-		return Record{}, 0, fmt.Errorf("snoop: implausible record length %d", incl)
+		return fmt.Errorf("snoop: implausible record length %d", incl)
 	}
-	if incl > rec.OriginalLength {
-		return Record{}, 0, fmt.Errorf("%w: included %d > original %d", ErrBadFraming, incl, rec.OriginalLength)
-	}
-	return rec, incl, nil
-}
-
-// ReadRecord returns the next record, or io.EOF at end of stream. A
-// stream that dies mid-record wraps both ErrTruncated and
-// io.ErrUnexpectedEOF, so callers can distinguish a cleanly closed log
-// from one cut off mid-write; Scanner applies the same classification.
-func (r *Reader) ReadRecord() (Record, error) {
-	if err := r.readHeader(); err != nil {
-		return Record{}, err
-	}
-	var hdr [24]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("%w: record header: %w", ErrTruncated, eofUnexpected(err))
-	}
-	rec, incl, err := decodeRecordHeader(&hdr)
-	if err != nil {
-		return Record{}, err
-	}
-	rec.Data = make([]byte, incl)
-	if _, err := io.ReadFull(r.r, rec.Data); err != nil {
-		return Record{}, fmt.Errorf("%w: record data: %w", ErrTruncated, eofUnexpected(err))
-	}
-	return rec, nil
+	return fmt.Errorf("%w: included %d > original %d", ErrBadFraming, incl, orig)
 }
 
 // eofUnexpected maps any flavor of end-of-stream to io.ErrUnexpectedEOF:

@@ -30,14 +30,15 @@ func FuzzReadAll(f *testing.F) {
 	})
 }
 
-// FuzzScanner is the three-way differential: ReadAll, the incremental
-// Scanner, and the BatchScanner must yield identical record sequences,
-// frame numbers, final Offset, and error classification (clean EOF /
-// ErrTruncated / ErrBadFraming / bad header) on arbitrary bytes, with no
-// panics. Seeds cover truncation at the file header, record header, and
-// payload boundaries, plus bad framing. The batch path additionally runs
-// over a one-byte-per-Read stream to exercise every partial-buffer
-// carry path.
+// FuzzScanner is the four-way differential: the refScan reference
+// decoder and the BatchScanner in block, one-byte-trickle and bytes
+// modes must yield identical record sequences, frame numbers, final
+// Offset, and error classification (clean EOF / truncated / bad framing
+// / bad header) on arbitrary bytes, with no panics. ReadAll must agree
+// with the reference on the records and on whether the input is an
+// error. Seeds cover truncation at the file header, record header, and
+// payload boundaries, plus bad framing. The trickle side runs over a
+// one-byte-per-Read stream to exercise every partial-buffer carry path.
 func FuzzScanner(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWriter(&seed)
@@ -54,60 +55,27 @@ func FuzzScanner(f *testing.F) {
 	bad[16+3] = 2 // included length exceeds original: ErrBadFraming
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		recs, readErr := ReadAll(raw)
+		want, _, wantOff, refErr := refScan(bytes.NewReader(raw))
 
-		sc := NewScanner(bytes.NewReader(raw))
-		var scanned []Record
-		for sc.Scan() {
-			if sc.Frame() != len(scanned)+1 {
-				t.Fatalf("Scanner frame %d at position %d", sc.Frame(), len(scanned)+1)
-			}
-			scanned = append(scanned, sc.Record().Clone())
+		recs, readErr := ReadAll(raw)
+		if (readErr == nil) != (refErr == nil) {
+			t.Fatalf("ReadAll err=%v, reference err=%v", readErr, refErr)
 		}
-		scanErr := sc.Err()
-		if (readErr == nil) != (scanErr == nil) {
-			t.Fatalf("ReadAll err=%v, Scanner err=%v", readErr, scanErr)
-		}
-		if len(scanned) != len(recs) {
-			t.Fatalf("ReadAll %d records, Scanner %d", len(recs), len(scanned))
-		}
+		recordsEqual(t, "ReadAll", recs, want)
 
 		for name, bs := range map[string]*BatchScanner{
 			"block":   NewBatchScanner(bytes.NewReader(raw)),
 			"trickle": NewBatchScanner(iotest.OneByteReader(bytes.NewReader(raw))),
 			"bytes":   NewBatchScannerBytes(raw),
 		} {
-			var (
-				b    RecordBatch
-				slab Slab
-				got  []Record
-			)
-			for bs.ScanBatch(&b) {
-				if b.First != len(got)+1 {
-					t.Fatalf("%s: batch First=%d at position %d", name, b.First, len(got)+1)
-				}
-				for _, rec := range b.Records {
-					got = append(got, rec.CloneInto(&slab))
-				}
+			got := collectBatches(t, bs)
+			if gc, wc := errClass(bs.Err()), errClass(refErr); gc != wc {
+				t.Fatalf("%s: batch error %q (%v), reference %q (%v)", name, gc, bs.Err(), wc, refErr)
 			}
-			if gc, wc := errClass(bs.Err()), errClass(scanErr); gc != wc {
-				t.Fatalf("%s: batch error %q (%v), scanner %q (%v)", name, gc, bs.Err(), wc, scanErr)
+			if bs.Offset() != wantOff {
+				t.Fatalf("%s: batch offset %d, reference %d", name, bs.Offset(), wantOff)
 			}
-			if bs.Offset() != sc.Offset() {
-				t.Fatalf("%s: batch offset %d, scanner %d", name, bs.Offset(), sc.Offset())
-			}
-			if len(got) != len(scanned) {
-				t.Fatalf("%s: batch %d records, scanner %d", name, len(got), len(scanned))
-			}
-			for i := range scanned {
-				if !bytes.Equal(got[i].Data, scanned[i].Data) ||
-					got[i].Flags != scanned[i].Flags ||
-					got[i].OriginalLength != scanned[i].OriginalLength ||
-					got[i].CumulativeDrops != scanned[i].CumulativeDrops ||
-					!got[i].Timestamp.Equal(scanned[i].Timestamp) {
-					t.Fatalf("%s: record %d differs:\n batch   %+v\n scanner %+v", name, i, got[i], scanned[i])
-				}
-			}
+			recordsEqual(t, name, got, want)
 		}
 	})
 }

@@ -26,38 +26,19 @@ type FrameSummary struct {
 func Summarize(records []Record) []FrameSummary {
 	var rows []FrameSummary
 	for i, rec := range records {
-		if row, ok := summarizeRecord(i+1, rec); ok {
+		if row, ok := SummarizeRecord(i+1, rec); ok {
 			rows = append(rows, row)
 		}
 	}
 	return rows
 }
 
-// SummarizeStream is Summarize over a btsnoop stream: rows are emitted
-// one at a time as the capture is scanned, so arbitrarily large files
-// render in constant memory.
-func SummarizeStream(r io.Reader, emit func(FrameSummary)) error {
-	sc := NewScanner(r)
-	for sc.Scan() {
-		if row, ok := summarizeRecord(sc.Frame(), sc.Record()); ok {
-			emit(row)
-		}
-	}
-	return sc.Err()
-}
-
 // SummarizeRecord decodes one record into a trace-table row, reporting
 // false for frames the table skips (data packets). It is the per-record
-// form of SummarizeStream for callers that drive their own Scanner —
-// e.g. to observe every record, not just the rendered ones.
+// form of Summarize for callers that drive their own BatchScanner, so
+// arbitrarily large captures render in constant memory. The record body
+// is only borrowed (never retained), so scanner-owned buffers are safe.
 func SummarizeRecord(frame int, rec Record) (FrameSummary, bool) {
-	return summarizeRecord(frame, rec)
-}
-
-// summarizeRecord decodes one record into a trace-table row. The record
-// body is only borrowed (never retained), so scanner-owned buffers are
-// safe here.
-func summarizeRecord(frame int, rec Record) (FrameSummary, bool) {
 	if len(rec.Data) == 0 {
 		return FrameSummary{}, false
 	}
@@ -182,14 +163,19 @@ func ExtractLinkKeys(records []Record) []LinkKeyHit {
 }
 
 // ScanLinkKeys is ExtractLinkKeys over a btsnoop stream: the capture is
-// scanned record by record with a reused buffer, so multi-gigabyte dumps
+// scanned a block at a time into a reused batch, so multi-gigabyte dumps
 // are searched in constant memory.
 func ScanLinkKeys(r io.Reader) ([]LinkKeyHit, error) {
-	sc := NewScanner(r)
-	var hits []LinkKeyHit
-	for sc.Scan() {
-		if hit, ok := linkKeyFromRecord(sc.Frame(), sc.Record()); ok {
-			hits = append(hits, hit)
+	sc := NewBatchScanner(r)
+	var (
+		hits []LinkKeyHit
+		b    RecordBatch
+	)
+	for sc.ScanBatch(&b) {
+		for i := range b.Records {
+			if hit, ok := linkKeyFromRecord(b.First+i, b.Records[i]); ok {
+				hits = append(hits, hit)
+			}
 		}
 	}
 	return hits, sc.Err()

@@ -3,11 +3,10 @@ package snoop
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
-	"reflect"
 	"testing"
 
-	"repro/internal/bt"
 	"repro/internal/hci"
 )
 
@@ -34,6 +33,10 @@ func serializeRecords(t testing.TB, recs []Record) []byte {
 	return buf.Bytes()
 }
 
+// TestScannerMatchesReadAll runs the stream scanner at its smallest
+// block size, so the synthetic capture spans dozens of blocks with
+// records straddling their boundaries, and requires exactly the
+// records, frame numbers and datalink ReadAll materializes.
 func TestScannerMatchesReadAll(t *testing.T) {
 	captures := map[string][]byte{
 		"sample": serializeRecords(t, fixLengths(sampleRecords())),
@@ -45,61 +48,31 @@ func TestScannerMatchesReadAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ReadAll: %v", name, err)
 		}
-		sc := NewScanner(bytes.NewReader(data))
-		var got []Record
-		for sc.Scan() {
-			if sc.Frame() != len(got)+1 {
-				t.Fatalf("%s: frame %d at position %d", name, sc.Frame(), len(got))
-			}
-			got = append(got, sc.Record().Clone())
-		}
+		sc := NewBatchScannerSize(bytes.NewReader(data), 4<<10)
+		got := collectBatches(t, sc)
 		if err := sc.Err(); err != nil {
 			t.Fatalf("%s: scanner: %v", name, err)
 		}
 		if sc.Datalink() != DatalinkH4 {
 			t.Fatalf("%s: datalink %d", name, sc.Datalink())
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: scanner %d records, ReadAll %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i].Data, want[i].Data) ||
-				got[i].Flags != want[i].Flags ||
-				got[i].OriginalLength != want[i].OriginalLength ||
-				got[i].CumulativeDrops != want[i].CumulativeDrops ||
-				!got[i].Timestamp.Equal(want[i].Timestamp) {
-				t.Fatalf("%s: record %d differs:\n scanner %+v\n readall %+v", name, i, got[i], want[i])
-			}
-		}
+		recordsEqual(t, name, got, want)
 	}
 }
 
 // TestScannerTruncationBoundaries truncates a valid capture at every byte
-// offset and checks that Scanner and ReadAll agree on the record count
-// and on whether the prefix is an error.
+// offset and checks that ReadAll and the refScan reference agree on the
+// records delivered and on whether the prefix is an error.
 func TestScannerTruncationBoundaries(t *testing.T) {
 	data := serializeRecords(t, fixLengths(sampleRecords()))
 	for cut := 0; cut <= len(data); cut++ {
 		prefix := data[:cut]
-		want, wantErr := ReadAll(prefix)
-
-		sc := NewScanner(bytes.NewReader(prefix))
-		got := 0
-		for sc.Scan() {
-			got++
+		got, gotErr := ReadAll(prefix)
+		want, _, _, wantErr := refScan(bytes.NewReader(prefix))
+		if errClass(gotErr) != errClass(wantErr) {
+			t.Fatalf("cut %d: ReadAll err %v, reference err %v", cut, gotErr, wantErr)
 		}
-		gotErr := sc.Err()
-
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("cut %d: ReadAll err %v, Scanner err %v", cut, wantErr, gotErr)
-		}
-		if got != len(want) {
-			t.Fatalf("cut %d: ReadAll %d records, Scanner %d", cut, len(want), got)
-		}
-		// Scanning past the failure must stay stopped.
-		if sc.Scan() {
-			t.Fatalf("cut %d: Scan returned true after stop", cut)
-		}
+		recordsEqual(t, fmt.Sprintf("cut %d", cut), got, want)
 	}
 }
 
@@ -107,50 +80,56 @@ func TestScannerTruncationBoundaries(t *testing.T) {
 // a cut on a record boundary is a cleanly closed log (nil Err), any
 // other cut is mid-record truncation that must wrap io.ErrUnexpectedEOF
 // (and still ErrTruncated for older callers), with Offset reporting
-// exactly where the bytes ran out.
+// exactly where the bytes ran out — in both scanner modes.
 func TestScannerClassifiesDeathOffsets(t *testing.T) {
 	data, _ := synthCapture(t, 50, 21)
-
-	boundaries := map[int64]bool{16: true} // after the file header
-	sc := NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		boundaries[sc.Offset()] = true
-	}
-	if err := sc.Err(); err != nil {
+	recs, err := ReadAll(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Offset(); got != int64(len(data)) {
-		t.Fatalf("full scan offset %d, want %d", got, len(data))
+	boundaries := map[int64]bool{16: true} // after the file header
+	end := int64(16)
+	for _, rec := range recs {
+		end += 24 + int64(len(rec.Data))
+		boundaries[end] = true
+	}
+	if end != int64(len(data)) {
+		t.Fatalf("records end at %d, capture is %d bytes", end, len(data))
 	}
 
 	for cut := 0; cut <= len(data); cut++ {
-		sc := NewScanner(bytes.NewReader(data[:cut]))
-		for sc.Scan() {
-		}
-		err := sc.Err()
-		if boundaries[int64(cut)] {
-			if err != nil {
-				t.Fatalf("cut %d (boundary): unexpected error %v", cut, err)
+		for mode, sc := range map[string]*BatchScanner{
+			"stream": NewBatchScanner(bytes.NewReader(data[:cut])),
+			"bytes":  NewBatchScannerBytes(data[:cut]),
+		} {
+			for sc.ScanBatch(&RecordBatch{}) {
 			}
-		} else {
-			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("cut %d: want io.ErrUnexpectedEOF in chain, got %v", cut, err)
+			err := sc.Err()
+			if boundaries[int64(cut)] {
+				if err != nil {
+					t.Fatalf("cut %d/%s (boundary): unexpected error %v", cut, mode, err)
+				}
+			} else {
+				if !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("cut %d/%s: want io.ErrUnexpectedEOF in chain, got %v", cut, mode, err)
+				}
+				if !errors.Is(err, ErrTruncated) {
+					t.Fatalf("cut %d/%s: want ErrTruncated in chain, got %v", cut, mode, err)
+				}
+				if errors.Is(err, ErrBadFraming) {
+					t.Fatalf("cut %d/%s: truncation misclassified as framing error: %v", cut, mode, err)
+				}
 			}
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut %d: want ErrTruncated in chain, got %v", cut, err)
+			if got := sc.Offset(); got != int64(cut) {
+				t.Fatalf("cut %d/%s: Offset() = %d", cut, mode, got)
 			}
-			if errors.Is(err, ErrBadFraming) {
-				t.Fatalf("cut %d: truncation misclassified as framing error: %v", cut, err)
-			}
-		}
-		if got := sc.Offset(); got != int64(cut) {
-			t.Fatalf("cut %d: Offset() = %d", cut, got)
 		}
 	}
 }
 
 // TestScannerBadFramingOffset pins the failure offset for a misframed
-// record to the start of its header, not wherever reading stopped.
+// record to the start of its header, not wherever reading stopped, in
+// both scanner modes.
 func TestScannerBadFramingOffset(t *testing.T) {
 	recs := fixLengths(sampleRecords())
 	data := serializeRecords(t, recs)
@@ -160,23 +139,23 @@ func TestScannerBadFramingOffset(t *testing.T) {
 	secondHdr := 16 + 24 + len(recs[0].Data)
 	bad[secondHdr+3] = 1 // original length = 1, included length unchanged
 
-	sc := NewScanner(bytes.NewReader(bad))
-	n := 0
-	for sc.Scan() {
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("scanned %d records before the bad header, want 1", n)
-	}
-	err := sc.Err()
-	if !errors.Is(err, ErrBadFraming) {
-		t.Fatalf("want ErrBadFraming, got %v", err)
-	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("framing error misclassified as truncation: %v", err)
-	}
-	if got := sc.Offset(); got != int64(secondHdr) {
-		t.Fatalf("Offset() = %d, want bad header start %d", got, secondHdr)
+	for mode, sc := range map[string]*BatchScanner{
+		"stream": NewBatchScanner(bytes.NewReader(bad)),
+		"bytes":  NewBatchScannerBytes(bad),
+	} {
+		if n := len(collectBatches(t, sc)); n != 1 {
+			t.Fatalf("%s: scanned %d records before the bad header, want 1", mode, n)
+		}
+		err := sc.Err()
+		if !errors.Is(err, ErrBadFraming) {
+			t.Fatalf("%s: want ErrBadFraming, got %v", mode, err)
+		}
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: framing error misclassified as truncation: %v", mode, err)
+		}
+		if got := sc.Offset(); got != int64(secondHdr) {
+			t.Fatalf("%s: Offset() = %d, want bad header start %d", mode, got, secondHdr)
+		}
 	}
 }
 
@@ -192,11 +171,11 @@ func TestFramingValidationRejectsInflatedLength(t *testing.T) {
 	if _, err := ReadAll(bad); !errors.Is(err, ErrBadFraming) {
 		t.Errorf("ReadAll: want ErrBadFraming, got %v", err)
 	}
-	sc := NewScanner(bytes.NewReader(bad))
-	for sc.Scan() {
+	sc := NewBatchScanner(bytes.NewReader(bad))
+	for sc.ScanBatch(&RecordBatch{}) {
 	}
 	if err := sc.Err(); !errors.Is(err, ErrBadFraming) {
-		t.Errorf("Scanner: want ErrBadFraming, got %v", err)
+		t.Errorf("stream scanner: want ErrBadFraming, got %v", err)
 	}
 }
 
@@ -216,52 +195,6 @@ func TestWriterDefaultsOriginalLength(t *testing.T) {
 	}
 	if recs[0].Truncated() {
 		t.Fatal("defaulted record must not read as truncated")
-	}
-}
-
-func TestRewriteStreamsFilter(t *testing.T) {
-	key := bt.MustLinkKey("c4f16e949f04ee9c0fd6b1330289c324")
-	addr := bt.MustBDADDR("00:1a:7d:da:71:0a")
-	recs := fixLengths([]Record{
-		{Flags: FlagCommandEvent, Data: hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire()},
-		{Flags: FlagCommandEvent, Data: hci.EncodeCommand(&hci.AuthenticationRequested{Handle: 3}).Wire()},
-		{Flags: FlagCommandEvent | FlagDirectionReceived, Data: hci.EncodeEvent(&hci.LinkKeyNotification{Addr: addr, Key: key}).Wire()},
-	})
-	src := serializeRecords(t, recs)
-
-	var out bytes.Buffer
-	kept, dropped, err := Rewrite(&out, bytes.NewReader(src), LinkKeyFilter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept != 3 || dropped != 0 {
-		t.Fatalf("kept=%d dropped=%d", kept, dropped)
-	}
-	filtered, err := ReadAll(out.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := ExtractLinkKeys(filtered); len(hits) != 0 {
-		t.Fatalf("filter leaked %d keys through Rewrite", len(hits))
-	}
-	if !filtered[0].Truncated() || !filtered[2].Truncated() {
-		t.Fatal("key carriers must read as truncated after filtering")
-	}
-
-	// Dropping filter: keep nothing.
-	out.Reset()
-	kept, dropped, err = Rewrite(&out, bytes.NewReader(src), func(Record) (Record, bool) { return Record{}, false })
-	if err != nil || kept != 0 || dropped != 3 {
-		t.Fatalf("drop-all: kept=%d dropped=%d err=%v", kept, dropped, err)
-	}
-
-	// Nil filter: verbatim copy.
-	out.Reset()
-	if _, _, err := Rewrite(&out, bytes.NewReader(src), nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), src) {
-		t.Fatal("nil filter must copy the capture verbatim")
 	}
 }
 
@@ -306,9 +239,19 @@ func TestStreamingRendersMatchInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The per-record render loop hcidump's table mode runs.
 	want := Summarize(recs)
 	var got []FrameSummary
-	if err := SummarizeStream(bytes.NewReader(data), func(r FrameSummary) { got = append(got, r) }); err != nil {
+	sc := NewBatchScanner(bytes.NewReader(data))
+	var b RecordBatch
+	for sc.ScanBatch(&b) {
+		for i := range b.Records {
+			if row, ok := SummarizeRecord(b.First+i, b.Records[i]); ok {
+				got = append(got, row)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -366,49 +309,4 @@ func TestHCIDumpWriteTo(t *testing.T) {
 		t.Fatal("WriteTo differs from Bytes")
 	}
 	var _ io.WriterTo = d
-}
-
-// TestScannerShrinksBufferAfterGiantRecord is the regression test for
-// payload-buffer retention: one giant record grows the reused buffer,
-// and a long run of ordinary records after it must release that
-// high-water allocation — not pin it for the rest of the stream — while
-// yielding exactly the records ReadAll sees.
-func TestScannerShrinksBufferAfterGiantRecord(t *testing.T) {
-	const giant = 200 << 10
-	recs := []Record{{Flags: FlagCommandEvent, Timestamp: CaptureBase, Data: make([]byte, giant)}}
-	for i := 0; i < shrinkAfter+8; i++ {
-		recs = append(recs, Record{
-			Flags:     FlagCommandEvent,
-			Timestamp: CaptureBase,
-			Data:      hci.EncodeCommand(&hci.Reset{}).Wire(),
-		})
-	}
-	data := serializeRecords(t, fixLengths(recs))
-	want, err := ReadAll(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sc := NewScanner(bytes.NewReader(data))
-	var got []Record
-	peak := 0
-	for sc.Scan() {
-		if cap(sc.buf) > peak {
-			peak = cap(sc.buf)
-		}
-		got = append(got, sc.Record().Clone())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if peak < giant {
-		t.Fatalf("buffer peaked at %d bytes, the giant record needed %d", peak, giant)
-	}
-	if cap(sc.buf) > shrinkCap {
-		t.Fatalf("buffer still holds %d bytes after %d small records; want <= %d",
-			cap(sc.buf), shrinkAfter+8, shrinkCap)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("scanner records diverge from ReadAll after shrink: got %d records, want %d", len(got), len(want))
-	}
 }

@@ -72,6 +72,36 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Errorf("record %d time %v != %v", i, got[i].Timestamp, recs[i].Timestamp)
 		}
 	}
+
+	// Every btsnoop datalink the Writer stamps reads back unchanged, on
+	// a capture with records and on a header-only one, in both scanner
+	// modes.
+	for _, dl := range []uint32{DatalinkH1, DatalinkH4, DatalinkBCSP, DatalinkH5} {
+		for _, n := range []int{1, 0} {
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			w.SetDatalink(dl)
+			for i := 0; i < n; i++ {
+				if err := w.WriteRecord(recs[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for mode, sc := range map[string]*BatchScanner{
+				"stream": NewBatchScanner(bytes.NewReader(buf.Bytes())),
+				"bytes":  NewBatchScannerBytes(buf.Bytes()),
+			} {
+				if got := collectBatches(t, sc); len(got) != n || sc.Err() != nil {
+					t.Fatalf("datalink %d/%s: %d records, want %d: %v", dl, mode, len(got), n, sc.Err())
+				}
+				if sc.Datalink() != dl {
+					t.Fatalf("datalink %d/%s: read back %d", dl, mode, sc.Datalink())
+				}
+			}
+		}
+	}
 }
 
 func TestTimestampRoundTripProperty(t *testing.T) {
@@ -128,7 +158,7 @@ func TestReaderRejectsBadInput(t *testing.T) {
 	if _, err := ReadAll(bad2); !errors.Is(err, ErrBadDatalink) {
 		t.Errorf("bad datalink: %v", err)
 	}
-	// Known non-H4 datalinks parse (Rewrite must round-trip them).
+	// Known non-H4 datalinks parse.
 	h1 := append([]byte("btsnoop\x00"), 0, 0, 0, 1, 0, 0, 3, 0xE9)
 	if recs, err := ReadAll(h1); err != nil || len(recs) != 0 {
 		t.Errorf("H1 datalink header: %v %d", err, len(recs))
@@ -141,27 +171,49 @@ func TestReaderRejectsBadInput(t *testing.T) {
 	if _, err := ReadAll(trunc); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated: %v", err)
 	}
-	if len(trunc) != 0 {
-		r := NewReader(bytes.NewReader(nil))
-		if _, err := r.ReadRecord(); !errors.Is(err, ErrTruncated) {
-			t.Errorf("empty stream: %v", err)
+	// An empty stream has no header to end cleanly after: truncated.
+	if _, err := ReadAll(nil); !errors.Is(err, ErrTruncated) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("empty capture: %v", err)
+	}
+	sc := NewBatchScanner(bytes.NewReader(nil))
+	if sc.ScanBatch(&RecordBatch{}) || !errors.Is(sc.Err(), ErrTruncated) {
+		t.Errorf("empty stream: %v", sc.Err())
+	}
+	// The stream scanner applies the same header rules as ReadAll.
+	for name, data := range map[string][]byte{"magic": []byte("notasnoopfile..."), "version": bad, "datalink": bad2} {
+		sc := NewBatchScanner(bytes.NewReader(data))
+		if sc.ScanBatch(&RecordBatch{}) || sc.Err() == nil {
+			t.Errorf("bad %s: stream scanner accepted the header", name)
+		}
+		if _, err := ReadAll(data); errClass(sc.Err()) != errClass(err) {
+			t.Errorf("bad %s: stream %v, ReadAll %v", name, sc.Err(), err)
 		}
 	}
 }
 
+// TestReaderStopsAtEOF: a capture that ends on a record boundary ends
+// cleanly — nil Err, Offset at the end of the file, and no further
+// batches.
 func TestReaderStopsAtEOF(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	_ = w.WriteRecord(Record{Data: []byte{0x01, 0x03, 0x0c, 0x00}, OriginalLength: 4})
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r.ReadRecord(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadRecord(); err != io.EOF {
-		t.Fatalf("want io.EOF, got %v", err)
-	}
-	if r.Datalink() != DatalinkH4 {
-		t.Fatalf("datalink %d", r.Datalink())
+	for mode, sc := range map[string]*BatchScanner{
+		"stream": NewBatchScanner(bytes.NewReader(buf.Bytes())),
+		"bytes":  NewBatchScannerBytes(buf.Bytes()),
+	} {
+		if got := collectBatches(t, sc); len(got) != 1 {
+			t.Fatalf("%s: %d records, want 1", mode, len(got))
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatalf("%s: want a clean end, got %v", mode, err)
+		}
+		if sc.ScanBatch(&RecordBatch{}) {
+			t.Fatalf("%s: ScanBatch returned true after the end", mode)
+		}
+		if sc.Offset() != int64(buf.Len()) || sc.Datalink() != DatalinkH4 {
+			t.Fatalf("%s: offset %d datalink %d", mode, sc.Offset(), sc.Datalink())
+		}
 	}
 }
 

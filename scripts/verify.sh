@@ -18,11 +18,17 @@ go test -run xxx -bench . -benchtime 1x .
 # 200 must decode and match the encoding/json oracle byte for byte.
 go test -run xxx -fuzz '^FuzzQuery$' -fuzztime 2000x -parallel 1 ./internal/sentinel
 
+# Capture-reader fuzz smoke, same budget: arbitrary bytes through the
+# BatchScanner (block, one-byte trickle and bytes modes) and ReadAll
+# must match the plain io.ReadFull reference decoder record for record,
+# with the same final offset and error class.
+go test -run xxx -fuzz '^FuzzScanner$' -fuzztime 2000x -parallel 1 ./internal/snoop
+
 # Store query smoke: one dashboard-sized window over a dense store.
 go test -run xxx -bench BenchmarkQueryFindingsWindow -benchtime 1x ./internal/tsdb
 
-# Streaming forensics pipeline: smoke the synthetic capture generator and
-# the capture-scan benchmarks (baseline vs zero-copy stream).
+# Batch forensics pipeline: smoke the synthetic capture generator and
+# the capture-scan benchmarks (materializing baseline vs batch scan).
 go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSnoopScanner|BenchmarkSynthesize' -benchtime 1x .
 
 if [ -n "${BENCH_JSON:-}" ]; then
@@ -67,7 +73,11 @@ rc=0
 "$atk_dir/btsim" -scenario no-such-attack 2> "$atk_dir/unknown.err" || rc=$?
 [ "$rc" -eq 2 ]
 grep -q 'valid: .*stealtooth.*passkey-guard' "$atk_dir/unknown.err"
-"$atk_dir/btsim" -scenario stealtooth -seed 7 -o "$atk_dir" | grep -q 're-paired=true'
+# Capture btsim's stdout before matching: grep -q exits on the first
+# match, and a btsim still printing its "wrote" lines would die of
+# SIGPIPE before writing the capture the next step reads.
+"$atk_dir/btsim" -scenario stealtooth -seed 7 -o "$atk_dir" > "$atk_dir/stealtooth.out"
+grep -q 're-paired=true' "$atk_dir/stealtooth.out"
 rc=0
 "$atk_dir/hcidump" -analyze "$atk_dir/stealtooth_C.btsnoop" > "$atk_dir/stealtooth.rep" || rc=$?
 [ "$rc" -eq 3 ]

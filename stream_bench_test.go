@@ -1,7 +1,7 @@
-// Streaming-pipeline benchmarks: the buffer-everything forensics path
-// against the zero-copy streaming pipeline over a large synthetic
-// capture (go test -bench=ForensicsScan). The custom records/s metric is
-// the headline number; allocs/op shows the zero-copy win.
+// Capture-pipeline benchmarks: the buffer-everything forensics path
+// against the batch pipeline over a large synthetic capture (go test
+// -bench=ForensicsScan). The custom records/s metric is the headline
+// number; allocs/op shows the zero-copy win.
 package repro
 
 import (
@@ -24,10 +24,10 @@ func benchCapture(b *testing.B, records int) []byte {
 }
 
 // BenchmarkForensicsScan compares the full capture-to-report paths on a
-// 200k-record synthetic capture. "baseline" is the pre-streaming
-// pipeline (snoop.ReadAll materializes every record, forensics.Analyze
-// full-parses each); the stream variants run the Scanner-fed zero-copy
-// pipeline, serial and with decode workers.
+// 200k-record synthetic capture. "baseline" is the materializing
+// pipeline (snoop.ReadAll copies out every record, forensics.Analyze
+// pushes each); "batch" runs AnalyzeBatch over an io.Reader and "bytes"
+// runs the zero-copy AnalyzeBytes.
 func BenchmarkForensicsScan(b *testing.B) {
 	const records = 200_000
 	data := benchCapture(b, records)
@@ -67,30 +67,30 @@ func BenchmarkForensicsScan(b *testing.B) {
 			return forensics.Analyze(recs), nil
 		})
 	})
-	b.Run("stream_workers1", func(b *testing.B) {
+	b.Run("batch", func(b *testing.B) {
 		run(b, func() (*forensics.Report, error) {
-			return forensics.AnalyzeStreamWorkers(bytes.NewReader(data), 1)
+			return forensics.AnalyzeBatch(bytes.NewReader(data))
 		})
 	})
-	b.Run("stream", func(b *testing.B) {
+	b.Run("bytes", func(b *testing.B) {
 		run(b, func() (*forensics.Report, error) {
-			return forensics.AnalyzeStream(bytes.NewReader(data))
+			return forensics.AnalyzeBytes(data)
 		})
 	})
 
 	// Identity across paths, checked once outside the timing loops.
-	got, err := forensics.AnalyzeStream(bytes.NewReader(data))
+	got, err := forensics.AnalyzeBatch(bytes.NewReader(data))
 	if err != nil {
 		b.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		b.Fatal("streaming report differs from in-memory report")
+		b.Fatal("batch report differs from in-memory report")
 	}
 }
 
 // BenchmarkSnoopScanner isolates the record-iteration layer: ReadAll's
-// one-allocation-per-record materialization vs the Scanner's reused
-// buffer.
+// materialization (every payload copied into a slab) vs the
+// BatchScanner's reused block buffer over an io.Reader.
 func BenchmarkSnoopScanner(b *testing.B) {
 	const records = 200_000
 	data := benchCapture(b, records)
@@ -108,14 +108,15 @@ func BenchmarkSnoopScanner(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scanner", func(b *testing.B) {
+	b.Run("batch_scanner", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
+		var batch snoop.RecordBatch
 		for i := 0; i < b.N; i++ {
-			sc := snoop.NewScanner(bytes.NewReader(data))
+			sc := snoop.NewBatchScanner(bytes.NewReader(data))
 			n := 0
-			for sc.Scan() {
-				n++
+			for sc.ScanBatch(&batch) {
+				n += len(batch.Records)
 			}
 			if err := sc.Err(); err != nil || n != records {
 				b.Fatalf("n=%d err=%v", n, err)
