@@ -630,6 +630,22 @@ func BenchmarkCampaignTableII(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignPass is the per-trial simulator cost: one serial pass
+// of Table II (7 devices, page race and PLOC, 20 trials each) plus the
+// cross-attack matrix at 20 trials per cell — 520 hermetic worlds.
+// Divide ns/op, B/op and allocs/op by 520 for the cost of one trial.
+func BenchmarkCampaignPass(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := eval.RunTableIIWorkers(11, 20, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eval.RunAttackMatrixWorkers(11, 20, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPINCrackParallel measures the sharded early-cancel PIN search
 // against the serial scan in BenchmarkPINCrack (same capture, same
 // result, same Tried count).

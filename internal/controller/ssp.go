@@ -147,7 +147,7 @@ func (c *Controller) onPublicKey(lk *link, pdu PublicKeyPDU) {
 		return
 	}
 	s.peerPub = append([]byte(nil), pdu.Pub...)
-	dh, err := c.kp.DHKey(s.peerPub)
+	dh, err := c.med.DHMemo().DHKey(c.kp, s.peerPub)
 	if err != nil {
 		c.sspFail(lk, hci.StatusAuthenticationFailure, true)
 		return

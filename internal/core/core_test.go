@@ -410,3 +410,23 @@ func TestAirSnifferResetAndLen(t *testing.T) {
 		t.Fatal("reset did not clear")
 	}
 }
+
+func TestTestbedsDoNotShareDHMemo(t *testing.T) {
+	// Two worlds from one seed derive the same key pairs, so a memo shared
+	// between them would let the second bond skip its ECDH entirely. Each
+	// world must own its memo and compute its own secret.
+	tb1 := mustTestbed(t, 21, TestbedOptions{Bond: true})
+	tb2 := mustTestbed(t, 21, TestbedOptions{Bond: true})
+	if tb1.Medium.DHMemo() == tb2.Medium.DHMemo() {
+		t.Fatal("two testbeds share one ECDH memo")
+	}
+	if n1, n2 := tb1.Medium.DHMemo().Len(), tb2.Medium.DHMemo().Len(); n1 != 1 || n2 != 1 {
+		t.Fatalf("memo entries after the setup bond: %d and %d, want one each", n1, n2)
+	}
+	if tb1.BondKey != tb2.BondKey {
+		t.Fatalf("same seed, different bond keys: %s vs %s", tb1.BondKey, tb2.BondKey)
+	}
+	if fresh := mustTestbed(t, 21, TestbedOptions{}); fresh.Medium.DHMemo().Len() != 0 {
+		t.Fatal("a new world must start with an empty ECDH memo")
+	}
+}

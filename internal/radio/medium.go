@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bt"
+	"repro/internal/btcrypto"
 	"repro/internal/sim"
 )
 
@@ -147,7 +148,14 @@ type Medium struct {
 	sniffers []func(SniffedFrame)
 	faults   FaultModel
 	pages    []*pageOp
+	dh       btcrypto.DHMemo
 }
+
+// DHMemo returns the world's ECDH memo. The medium is the one object
+// every controller of a simulated world shares, and it dies with that
+// world, so the memo is scoped to exactly one world (see
+// btcrypto.DHMemo).
+func (m *Medium) DHMemo() *btcrypto.DHMemo { return &m.dh }
 
 // Sniff registers a passive air sniffer observing every link frame at
 // transmission time.

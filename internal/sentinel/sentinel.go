@@ -745,10 +745,10 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 	// batches and fewer ring handoffs per captured megabyte.
 	var sc *snoop.BatchScanner
 	var det *forensics.Detector
-	var prevOff int64   // last batch offset the detector consumed
-	var prevFrames int  // last batch frame count the detector consumed
-	var ckptSeq uint64  // last checkpoint sequence written for this session
-	var lastCkpt int64  // capture offset of the last checkpoint
+	var prevOff int64  // last batch offset the detector consumed
+	var prevFrames int // last batch frame count the detector consumed
+	var ckptSeq uint64 // last checkpoint sequence written for this session
+	var lastCkpt int64 // capture offset of the last checkpoint
 	if res != nil {
 		// Resuming a checkpoint: the scanner starts mid-capture at the
 		// snapshot position, the detector already holds the state, and the

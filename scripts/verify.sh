@@ -9,6 +9,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l cmd internal examples *.go)"
 go test ./...
 go test -race ./...
 go test -run xxx -bench . -benchtime 1x .
@@ -143,7 +144,9 @@ go build -o "$res_dir/blapd" ./cmd/blapd
 wait_addr() {
     i=0
     while [ "$i" -lt 100 ]; do
-        addr=$(sed -n 's/^blapd: listening tcp //p' "$1")
+        # The backgrounded daemon's shell may not have created the file
+        # yet; under set -e a failing sed would end the script.
+        addr=$(sed -n 's/^blapd: listening tcp //p' "$1" 2>/dev/null) || addr=
         [ -n "$addr" ] && return 0
         i=$((i+1)); sleep 0.1
     done
@@ -178,23 +181,40 @@ kill -TERM "$base_pid"
 wait "$base_pid"
 strip_findings "$res_dir/base.jsonl" | sort > "$res_dir/base.findings"
 test -s "$res_dir/base.findings"
-# Crash run: same configuration, killed -9 mid-ingest.
+# Crash run: same configuration, killed -9 mid-ingest. The kill comes
+# from a reader on the daemon's stdout the moment the first checkpoint
+# line passes through it, not from a poll of the output file: the whole
+# send takes a fraction of a second, and a poll that wakes late finds
+# the send already finished. tee copies every line to crash1.jsonl
+# unbuffered; cat keeps draining after the kill so tee never dies of
+# SIGPIPE before the daemon's last bytes are on disk. (crash1.err is
+# redirected first: opening the fifo blocks until tee opens its end.)
+mkfifo "$res_dir/crash1.fifo"
 "$res_dir/blapd" -tcp 127.0.0.1:0 -store "$res_dir/store_crash" -resume-grace 5m \
     -checkpoint-every 1048576 -ack-every 65536 \
-    > "$res_dir/crash1.jsonl" 2> "$res_dir/crash1.err" &
+    2> "$res_dir/crash1.err" > "$res_dir/crash1.fifo" &
 crash_pid=$!
+tee "$res_dir/crash1.jsonl" < "$res_dir/crash1.fifo" | {
+    grep -q '"type":"checkpoint"' && kill -9 "$crash_pid"
+    cat > /dev/null
+} &
+reader_pid=$!
 wait_addr "$res_dir/crash1.err"
 "$res_dir/blapd" -send "$res_dir/cap.btsnoop" -tcp "$addr" -session s9 2> "$res_dir/send1.err" &
 send_pid=$!
-i=0
-until grep -q '"type":"checkpoint"' "$res_dir/crash1.jsonl"; do
-    i=$((i+1)); [ "$i" -lt 200 ]; sleep 0.05
-done
-kill -9 "$crash_pid"
 rc=0
 wait "$send_pid" || rc=$?
-[ "$rc" -eq 4 ]
+# Should no checkpoint line ever arrive, stop the daemon anyway so the
+# reader sees end of file; the checks below then fail the drill.
+kill -9 "$crash_pid" 2>/dev/null || true
+wait "$reader_pid"
 wait "$crash_pid" || true
+[ "$rc" -eq 4 ]
+# The crash landed mid-stream: the crashed run never ended cleanly.
+if grep '"type":"stream-end"' "$res_dir/crash1.jsonl" | grep -q '"status":"clean"'; then
+    echo "kill-9 drill: the crashed run reached a clean stream end" >&2
+    exit 1
+fi
 # Restart on the same store: the parked session must come back from its
 # checkpoint, and the resumed send must pick up at a nonzero offset.
 "$res_dir/blapd" -tcp 127.0.0.1:0 -store "$res_dir/store_crash" -resume-grace 5m \
